@@ -88,45 +88,54 @@ def transfer_solution(old_state: GlobalState, U_old: np.ndarray,
         raise ValueError("solution transfer requires matching polynomial degree")
 
     tr_new = new_state.trial
-    rule = new_state.cache.vol_rule
-    vals = new_state.cache.uv  # modal trial values at volume quadrature points
+    parents = new_mesh.parent_elements
+    # parent reference coordinates of every child quadrature point, and the
+    # parent's fields there, with the basis evaluated once on all points
+    ref_old = old_state.mesh.map_to_reference(parents, new_state.cache.pts)
+    vals, _ = old_state.trial.q_basis.eval(ref_old.reshape(-1, 2))
+    vals = vals.reshape(*ref_old.shape[:2], -1)                 # (T, nq, nk)
+    q_old, psi_old = old_state.interior_coeffs(U_old)
+    psi_q = np.einsum("tqj,tj->tq", vals, psi_old[parents])
+    q_q = np.einsum("tqj,tcj->tqc", vals, q_old[parents])
     # the modal basis is orthonormal on the reference triangle, so the
     # projection is a plain weighted moment; the affine scaling cancels
+    proj = new_state.cache.uv * new_state.cache.vol_rule.weights[:, None]
     U_new = np.zeros(new_state.n_total)
-    for t in range(new_mesh.n_triangles):
-        parent = int(new_mesh.parent_elements[t])
-        phys = new_mesh.map_to_physical(t, rule.points)
-        ref_old = old_state.mesh.map_to_reference(parent, phys)
-        psi_old = old_state.eval_psi(U_old, parent, ref_old)
-        q_old = old_state.eval_q(U_old, parent, ref_old)
-        w = rule.weights
-        U_new[tr_new.psi_dofs(t)] = (vals * w[:, None]).T @ psi_old
-        qc = (vals * w[:, None]).T @ q_old
-        U_new[tr_new.q_dofs(t)] = qc.T.ravel()
+    U_new[tr_new.offset_q:tr_new.offset_psi] = np.einsum("tqc,qj->tcj", q_q, proj).ravel()
+    U_new[tr_new.offset_psi:tr_new.offset_qhat] = (psi_q @ proj).ravel()
 
     _traces_from_fields(new_state, U_new)
     return new_state.apply_boundary(U_new)
 
 
 def _traces_from_fields(state: GlobalState, U: np.ndarray) -> None:
-    """Fill qhat_n and psihat by sampling the interior fields on edges."""
+    """Fill qhat_n and psihat by sampling the interior fields on edges.
+
+    Each edge samples its first adjacent element; a vertex shared by several
+    edges takes its psihat value from the last of them in edge order.
+    """
     mesh = state.mesh
     tr = state.trial
-    tq = tr.qhat_basis.nodes
-    tp = tr.psihat_basis.nodes
-    for e in range(mesh.n_edges):
-        t0 = int(mesh.edge_tris[e, 0])
-        lo, hi = mesh.edges[e]
-        tv = mesh.triangles[t0]
-        l_lo = int(np.nonzero(tv == lo)[0][0])
-        l_hi = int(np.nonzero(tv == hi)[0][0])
-        a, d = _REF_VERTS[l_lo], _REF_VERTS[l_hi] - _REF_VERTS[l_lo]
-        n_glob = mesh.edge_normals[e]
-        refq = a + tq[:, None] * d
-        refp = a + tp[:, None] * d
-        qv = state.eval_q(U, t0, refq)
-        U[tr.qhat_edge_dofs(e)] = qv @ n_glob
-        U[tr.psihat_edge_dofs(e)] = state.eval_psi(U, t0, refp)
+    E, V = mesh.n_edges, mesh.n_vertices
+    t0 = mesh.edge_tris[:, 0]
+    tv = mesh.triangles[t0]
+    a = _REF_VERTS[np.argmax(tv == mesh.edges[:, :1], axis=1)]
+    d = _REF_VERTS[np.argmax(tv == mesh.edges[:, 1:], axis=1)] - a
+    q_c, psi_c = state.interior_coeffs(U)
+
+    def basis_at(nodes):  # (E, len(nodes), nk): trial basis at edge nodes
+        ref = a[:, None, :] + nodes[:, None] * d[:, None, :]
+        vals, _ = tr.q_basis.eval(ref.reshape(-1, 2))
+        return vals.reshape(E, len(nodes), tr.nk)
+
+    qv = np.einsum("ejn,ecn->ejc", basis_at(tr.qhat_basis.nodes), q_c[t0])
+    U[tr.offset_qhat:tr.offset_psihat] = np.einsum(
+        "ejc,ec->ej", qv, mesh.edge_normals).ravel()
+    pv = np.einsum("ejn,en->ej", basis_at(tr.psihat_basis.nodes), psi_c[t0])
+    U[tr.offset_psihat + V:] = pv[:, 1:-1].ravel()
+    ends = mesh.edges.ravel()
+    verts, first_rev = np.unique(ends[::-1], return_index=True)
+    U[tr.offset_psihat + verts] = pv[:, [0, -1]].ravel()[len(ends) - 1 - first_rev]
 
 
 def amr_loop(problem, mesh: Mesh, k: int, s: int = 2,
@@ -138,12 +147,10 @@ def amr_loop(problem, mesh: Mesh, k: int, s: int = 2,
     p = params or AmrParams()
     report = AmrReport()
     state = GlobalState(mesh, problem, k, s=s, norm=norm)
-    U0 = None
-    U = None
+    U0 = U = None
     for it in range(p.max_iters):
         res = solve_nonlinear(state, anderson, U0=U0)
         U = res.U
-        solved_state = state
         total, ind = estimate(state, U)
         marked = mark(ind, total, p.marking)
         report.steps.append(AmrStep(it, state.mesh.n_triangles, total,
@@ -155,9 +162,11 @@ def amr_loop(problem, mesh: Mesh, k: int, s: int = 2,
         if state.mesh.n_triangles >= p.max_elements:
             report.message = "element budget exhausted"
             return state, U, report
+        if it == p.max_iters - 1:
+            break
         new_mesh = bisect_conforming(state.mesh, marked)
         new_state = GlobalState(new_mesh, problem, k, s=s, norm=norm)
         U0 = transfer_solution(state, U, new_state)
         state = new_state
     report.message = "max AMR iterations reached"
-    return solved_state, U, report
+    return state, U, report

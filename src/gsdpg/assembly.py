@@ -1,15 +1,20 @@
 """Element-level assembly of the ultraweak bilinear blocks and Gram matrices.
 
-Each element K contributes a dense rectangular matrix B_K (enriched test
-rows x local trial columns), a symmetric positive definite Gram matrix G_K
-of the broken test inner product (inverted once per element via Cholesky),
-and source moments N_K, D_K, L_K for the nonlinear right-hand side.
+All elements are built at once as stacked ``(T, ...)`` arrays, with no loop
+over elements: the dense rectangular matrices B_K (enriched test rows x
+local trial columns), the lower Cholesky factors L_K of the symmetric
+positive definite Gram matrices G_K of the broken test inner product, the
+physical quadrature points and weights, and the local-to-global DOF map.
+Elements share the reference tables and differ only through their affine
+maps, edge orientations and the radius r at the quadrature points.  The
+source moments N_K, D_K, L_K of the nonlinear right-hand side are computed
+for all elements with one call of each source function.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky
+from scipy.linalg import cho_solve
 
 from .basis import (
     default_edge_degree,
@@ -28,12 +33,27 @@ class SourceEvaluationError(Exception):
     pass
 
 
-class ElementCache:
-    """Per-mesh cache of element matrices and quadrature tables.
+def _moments(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stacked sum_q a[t, q, i] w[t, q] b[t, q, j]; a and b may be shared
+    reference tables (nq, .)."""
+    return np.swapaxes(a * w[..., None], -1, -2) @ b
 
-    B_K and the Gram Cholesky factors are built once; only the source
-    moments (which depend on the current psi iterate) are recomputed per
-    nonlinear iteration.
+
+class ElementCache:
+    """Stacked element matrices and quadrature data of one mesh.
+
+    For T elements, n = test.nks test functions per component and nq volume
+    quadrature points:
+
+    - ``B``    (T, 3n, ncols): element matrices B_K;
+    - ``L``    (T, 3n, 3n): lower Cholesky factors of the Gram matrices G_K
+      (G_K itself is not kept);
+    - ``pts``  (T, nq, 2) and ``w`` (T, nq): physical quadrature points and
+      weights;
+    - ``cols`` (T, ncols): local-to-global trial DOF map.
+
+    Test rows are ordered (phi_r, phi_z, tau), trial columns as in
+    ``TrialSpace.element_dofs``.
     """
 
     def __init__(self, mesh: Mesh, trial: TrialSpace, test: TestSpace,
@@ -50,61 +70,33 @@ class ElementCache:
         self.edg_rule = edge_rule(default_edge_degree(k, s))
 
         # reference tables shared by all elements
-        self.tv, self.tg_ref = test.basis.eval(self.vol_rule.points)
+        self.tv, tg_ref = test.basis.eval(self.vol_rule.points)
         self.uv, _ = trial.q_basis.eval(self.vol_rule.points)
-        t_e = self.edg_rule.points[:, 0]
-        self.qhat_vals, _ = trial.qhat_basis.eval(t_e)
-        self.psihat_vals, _ = trial.psihat_basis.eval(t_e)
-        self._edge_test_tables: dict[tuple[int, int], np.ndarray] = {}
-
-        n = test.nks
-        self.n = n
+        self.n = test.nks
         self.nk = trial.nk
         self.n_cols = trial.n_local()
 
-        jac, inv_T, det = mesh.geometry
-        self.det = det
-        self.B = []
-        self.chol = []
-        self.w_phys = []
-        self.phys_pts = []
-        self.cols = [trial.element_dofs(t) for t in range(mesh.n_triangles)]
-        for t in range(mesh.n_triangles):
-            B_K, G_K, w, pts = self._build_element(t, inv_T[t], det[t])
-            self.B.append(B_K)
-            try:
-                self.chol.append(cho_factor(G_K, lower=True))
-            except np.linalg.LinAlgError as exc:
-                raise RuntimeError(f"Gram Cholesky failed on element {t}") from exc
-            self.w_phys.append(w)
-            self.phys_pts.append(pts)
+        _, inv_T, det = mesh.geometry
+        elements = np.arange(mesh.n_triangles)
+        self.w = self.vol_rule.weights * det[:, None]
+        self.pts = mesh.map_to_physical(elements, self.vol_rule.points)
+        self.cols = trial.element_dofs(elements)
+
+        # physical test gradients: g_a[t, q, i] = inv_T[t, a, b] g_ref[q, i, b]
+        gx = np.einsum("tb,qib->tqi", inv_T[:, 0], tg_ref)
+        gy = np.einsum("tb,qib->tqi", inv_T[:, 1], tg_ref)
+        self.B = self._element_matrices(gx, gy)
+        self.L = self._cholesky(self._gram(gx, gy))
 
     # -- element matrices ----------------------------------------------
 
-    def _edge_test(self, l_lo: int, l_hi: int) -> tuple[np.ndarray, np.ndarray]:
-        key = (l_lo, l_hi)
-        tab = self._edge_test_tables.get(key)
-        if tab is None:
-            t = self.edg_rule.points[:, 0][:, None]
-            ref = _REF_VERTS[l_lo] + t * (_REF_VERTS[l_hi] - _REF_VERTS[l_lo])
-            vals, _ = self.test.basis.eval(ref)
-            tab = vals
-            self._edge_test_tables[key] = tab
-        return tab
-
-    def _build_element(self, t: int, inv_T: np.ndarray, det: float):
+    def _element_matrices(self, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
         n, nk = self.n, self.nk
         mesh, trial = self.mesh, self.trial
-        w = self.vol_rule.weights * det
-        pts = mesh.map_to_physical(t, self.vol_rule.points)
-        r = pts[:, 0]
+        T = mesh.n_triangles
+        w, r = self.w, self.pts[:, :, 0]
 
-        # physical test gradients: g_phys[q, i, a] = inv_T[a, b] g_ref[q, i, b]
-        g = np.einsum("ab,qib->qia", inv_T, self.tg_ref)
-        gx, gy = g[:, :, 0], g[:, :, 1]
-        tv = self.tv
-
-        B = np.zeros((3 * n, self.n_cols))
+        B = np.zeros((T, 3 * n, self.n_cols))
         sl_phir = slice(0, n)
         sl_phiz = slice(n, 2 * n)
         sl_tau = slice(2 * n, 3 * n)
@@ -112,123 +104,146 @@ class ElementCache:
         c_qz = slice(nk, 2 * nk)
         c_psi = slice(2 * nk, 3 * nk)
 
-        wr = w * r
         # (r q, phi): componentwise weighted mass
-        Mr = (tv * wr[:, None]).T @ self.uv
-        B[sl_phir, c_qr] = Mr
-        B[sl_phiz, c_qz] = Mr
-        # -(psi, div phi)
-        B[sl_phir, c_psi] = -(gx * w[:, None]).T @ self.uv
-        B[sl_phiz, c_psi] = -(gy * w[:, None]).T @ self.uv
-        # -(q, grad tau)
-        B[sl_tau, c_qr] = -(gx * w[:, None]).T @ self.uv
-        B[sl_tau, c_qz] = -(gy * w[:, None]).T @ self.uv
+        Mr = _moments(self.tv, w * r, self.uv)
+        B[:, sl_phir, c_qr] = Mr
+        B[:, sl_phiz, c_qz] = Mr
+        # -(psi, div phi) and -(q, grad tau)
+        Dx = _moments(gx, w, self.uv)
+        Dy = _moments(gy, w, self.uv)
+        B[:, sl_phir, c_psi] = -Dx
+        B[:, sl_phiz, c_psi] = -Dy
+        B[:, sl_tau, c_qr] = -Dx
+        B[:, sl_tau, c_qz] = -Dy
 
-        # skeleton terms
-        kq = trial.k + 1
-        kp = trial.k + 2
-        for le in range(3):
-            sign, ref0, refd, length = trial.edge_param_geometry(t, le)
-            e = mesh.tri_edges[t, le]
-            n_glob = mesh.edge_normals[e]
-            n_out = sign * n_glob
-            tvals = self._edge_test(*self._edge_locals(t, e))
-            ds = self.edg_rule.weights * length
-            c_qh = 3 * nk + le * kq
-            c_ph = 3 * nk + 3 * kq + le * kp
-            # <qhat_n, tau> with the orientation sign
-            B[sl_tau, c_qh:c_qh + kq] += sign * (tvals * ds[:, None]).T @ self.qhat_vals
-            # <psihat, n . phi> with the element outward normal
-            Tp = (tvals * ds[:, None]).T @ self.psihat_vals
-            B[sl_phir, c_ph:c_ph + kp] += n_out[0] * Tp
-            B[sl_phiz, c_ph:c_ph + kp] += n_out[1] * Tp
+        # skeleton terms: the test functions on local edge le, traversed from
+        # its lower to its higher global vertex, depend only on the local
+        # indices (l_lo, l_hi) of those vertices, so six reference tables
+        # serve every element
+        t_e = self.edg_rule.points[:, 0]
+        qhat_vals, _ = trial.qhat_basis.eval(t_e)
+        psihat_vals, _ = trial.psihat_basis.eval(t_e)
+        kq, kp = trial.k + 1, trial.k + 2
+        Eq = np.zeros((3, 3, n, kq))
+        Ep = np.zeros((3, 3, n, kp))
+        for a in range(3):
+            for b in range(3):
+                if a != b:
+                    ref = _REF_VERTS[a] + t_e[:, None] * (_REF_VERTS[b] - _REF_VERTS[a])
+                    tvals, _ = self.test.basis.eval(ref)
+                    tw = tvals * self.edg_rule.weights[:, None]
+                    Eq[a, b] = tw.T @ qhat_vals
+                    Ep[a, b] = tw.T @ psihat_vals
+        e = mesh.tri_edges
+        lo_hi = mesh.edges[e]                                  # (T, 3, 2)
+        loc = np.argmax(mesh.triangles[:, None, None, :] == lo_hi[..., None], axis=-1)
+        l_lo, l_hi = loc[..., 0], loc[..., 1]
+        sign = mesh.tri_edge_sign
+        length = mesh.edge_lengths[e]
+        n_out = sign[..., None] * mesh.edge_normals[e]         # (T, 3, 2)
 
-        G = self._gram(t, tv, gx, gy, w, r)
-        return B, G, w, pts
+        def by_edge(blocks):  # (T, 3, n, m) -> (T, n, 3m), local edges in order
+            return blocks.transpose(0, 2, 1, 3).reshape(T, n, -1)
 
-    def _edge_locals(self, t: int, e: int) -> tuple[int, int]:
-        lo, hi = self.mesh.edges[e]
-        tv = self.mesh.triangles[t]
-        return int(np.nonzero(tv == lo)[0][0]), int(np.nonzero(tv == hi)[0][0])
+        c_qh = slice(3 * nk, 3 * nk + 3 * kq)
+        c_ph = slice(3 * nk + 3 * kq, self.n_cols)
+        # <qhat_n, tau> with the orientation sign
+        B[:, sl_tau, c_qh] = by_edge((sign * length)[..., None, None] * Eq[l_lo, l_hi])
+        # <psihat, n . phi> with the element outward normal
+        Tp = length[..., None, None] * Ep[l_lo, l_hi]
+        B[:, sl_phir, c_ph] = by_edge(n_out[..., 0, None, None] * Tp)
+        B[:, sl_phiz, c_ph] = by_edge(n_out[..., 1, None, None] * Tp)
+        return B
 
-    def _gram(self, t, tv, gx, gy, w, r):
-        n = self.n
-        z = np.zeros_like(tv)
-        if self.norm == STANDARD:
-            feats = [
-                (np.hstack([tv, z, z]), 1.0),        # phi_r
-                (np.hstack([z, tv, z]), 1.0),        # phi_z
-                (np.hstack([gx, gy, z]), 1.0),       # div phi
-                (np.hstack([z, z, tv]), 1.0),        # tau
-                (np.hstack([z, z, gx]), 1.0),        # d_r tau
-                (np.hstack([z, z, gy]), 1.0),        # d_z tau
-            ]
-        else:
-            rr = r[:, None]
-            feats = [
-                (np.hstack([rr * tv, z, -gx]), 1.0),  # r phi_r - d_r tau
-                (np.hstack([z, rr * tv, -gy]), 1.0),  # r phi_z - d_z tau
-                (np.hstack([gx, gy, z]), 1.0),        # div phi
-                (np.hstack([tv, z, z]), 1.0),
-                (np.hstack([z, tv, z]), 1.0),
-                (np.hstack([z, z, tv]), 1.0),
-            ]
-        G = np.zeros((3 * n, 3 * n))
-        for F, _ in feats:
-            G += (F * w[:, None]).T @ F
-        return 0.5 * (G + G.T)
+    def _gram(self, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+        """Stacked Gram matrices; only the lower block triangle is filled."""
+        n, tv, w = self.n, self.tv, self.w
+        M = _moments(tv, w, tv)
+        Kxx = _moments(gx, w, gx)
+        Kxy = _moments(gx, w, gy)
+        Kyy = _moments(gy, w, gy)
+        G = np.zeros((len(w), 3 * n, 3 * n))
+        blk = [slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)]
+        # ||div phi||^2 plus the L2 mass of each component, in both norms
+        G[:, blk[0], blk[0]] = M + Kxx
+        G[:, blk[1], blk[0]] = np.swapaxes(Kxy, 1, 2)
+        G[:, blk[1], blk[1]] = M + Kyy
+        # ||grad tau||^2: standard, or ||r phi - grad tau||^2: adjoint graph
+        G[:, blk[2], blk[2]] = M + Kxx + Kyy
+        if self.norm == ADJOINT_GRAPH:
+            wr = w * self.pts[:, :, 0]
+            R2 = _moments(tv, wr * self.pts[:, :, 0], tv)
+            G[:, blk[0], blk[0]] += R2
+            G[:, blk[1], blk[1]] += R2
+            G[:, blk[2], blk[0]] = -_moments(gx, wr, tv)
+            G[:, blk[2], blk[1]] = -_moments(gy, wr, tv)
+        return G
+
+    @staticmethod
+    def _cholesky(G: np.ndarray) -> np.ndarray:
+        try:
+            return np.linalg.cholesky(G)
+        except np.linalg.LinAlgError:
+            for t in range(len(G)):
+                try:
+                    np.linalg.cholesky(G[t])
+                except np.linalg.LinAlgError as exc:
+                    raise RuntimeError(f"Gram Cholesky failed on element {t}") from exc
+            raise
 
     # -- source moments -------------------------------------------------
 
-    def source(self, t: int, psi_coeffs: np.ndarray, problem):
-        """(N_K, D_K, L_K): tau moments of F_N/r, its psi derivative, F_L/r."""
-        w = self.w_phys[t]
-        pts = self.phys_pts[t]
-        r, zc = pts[:, 0], pts[:, 1]
-        psi_q = self.uv @ psi_coeffs
-        fn = np.broadcast_to(np.asarray(problem.f_nl(r, zc, psi_q), dtype=float), r.shape)
-        dfn = np.broadcast_to(np.asarray(problem.df_nl(r, zc, psi_q), dtype=float), r.shape)
-        fl = np.broadcast_to(np.asarray(problem.f_lin(r, zc), dtype=float), r.shape)
-        for arr, label in ((fn, "F_N"), (dfn, "dF_N/dpsi"), (fl, "F_L")):
-            if not np.all(np.isfinite(arr)):
-                q = int(np.nonzero(~np.isfinite(arr))[0][0])
-                raise SourceEvaluationError(
-                    f"{label} non-finite on element {t} at point ({r[q]:.6g}, {zc[q]:.6g})"
-                )
-        tau = self.tv
-        N_K = tau.T @ (w * fn / r)
-        L_K = tau.T @ (w * fl / r)
-        D_K = (tau * (w * dfn / r)[:, None]).T @ self.uv
-        return N_K, D_K, L_K
+    def source_moments(self, psi_q: np.ndarray, problem,
+                       elements: np.ndarray | None = None):
+        """Stacked tau moments (N, D) of F_N/r and its psi derivative.
 
-    def linear_source(self, t: int, problem) -> np.ndarray:
-        _, _, L_K = self.source(t, np.zeros(self.nk), problem)
-        return L_K
+        ``psi_q`` (m, nq) holds psi at the quadrature points of ``elements``
+        (all elements by default); N is (m, n) and D is (m, n, nk).
+        """
+        elements = np.arange(len(self.w)) if elements is None else elements
+        r, z = self.pts[elements, :, 0], self.pts[elements, :, 1]
+        fn = _finite("F_N", problem.f_nl(r, z, psi_q), r, z, elements)
+        dfn = _finite("dF_N/dpsi", problem.df_nl(r, z, psi_q), r, z, elements)
+        w = self.w[elements]
+        tv = self.tv
+        N = np.einsum("qi,tq->ti", tv, w * fn / r)
+        D = np.einsum("qi,tq,qj->tij", tv, w * dfn / r, self.uv)
+        return N, D
+
+    def linear_source(self, problem, elements: np.ndarray | None = None) -> np.ndarray:
+        """Stacked (m, n) tau moments of F_L/r over ``elements`` (default all)."""
+        elements = np.arange(len(self.w)) if elements is None else elements
+        r, z = self.pts[elements, :, 0], self.pts[elements, :, 1]
+        fl = _finite("F_L", problem.f_lin(r, z), r, z, elements)
+        return np.einsum("qi,tq->ti", self.tv, self.w[elements] * fl / r)
+
+    def source(self, t: int, psi_coeffs: np.ndarray, problem):
+        """(N_K, D_K, L_K) of element t at interior psi coefficients."""
+        el = np.array([t])
+        N, D = self.source_moments((self.uv @ psi_coeffs)[None], problem, el)
+        return N[0], D[0], self.linear_source(problem, el)[0]
 
     def gram_dense(self, t: int) -> np.ndarray:
         """Reconstruct G_K from its Cholesky factor (test/diagnostic use)."""
-        c, lower = self.chol[t]
-        L = np.tril(c)
-        return L @ L.T
+        return self.L[t] @ self.L[t].T
 
     def gram_solve(self, t: int, rhs: np.ndarray) -> np.ndarray:
-        return cho_solve(self.chol[t], rhs)
+        return cho_solve((self.L[t], True), rhs)
+
+
+def _finite(label: str, values, r: np.ndarray, z: np.ndarray,
+            elements: np.ndarray) -> np.ndarray:
+    """Source values broadcast to the point layout; non-finite ones raise."""
+    vals = np.broadcast_to(np.asarray(values, dtype=float), r.shape)
+    if not np.all(np.isfinite(vals)):
+        i, q = np.argwhere(~np.isfinite(vals))[0]
+        raise SourceEvaluationError(
+            f"{label} non-finite on element {elements[i]} at point "
+            f"({r[i, q]:.6g}, {z[i, q]:.6g})")
+    return vals
 
 
 # -- module-level convenience wrappers ----------------------------------
-
-
-def assemble_element_B(cache: ElementCache, t: int) -> np.ndarray:
-    return cache.B[t]
-
-
-def assemble_element_gram(mesh: Mesh, test: TestSpace, t: int,
-                          norm: str = STANDARD) -> tuple[np.ndarray, np.ndarray]:
-    """Standalone Gram assembly; returns (G_K, lower Cholesky factor)."""
-    trial = TrialSpace(mesh, max(test.k, 1))
-    cache = ElementCache(mesh, trial, test, norm=norm)
-    G = cache.gram_dense(t)
-    return G, cholesky(G, lower=True)
 
 
 def assemble_element_source(cache: ElementCache, t: int, psi_coeffs, problem):

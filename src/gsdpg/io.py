@@ -164,14 +164,11 @@ def vertex_averaged_fields(state, U) -> dict:
     """psi, q_r, q_z averaged over elements incident to each vertex."""
     mesh = state.mesh
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    vals, _ = state.trial.q_basis.eval(corners)
+    q_c, psi_c = state.interior_coeffs(U)
+    fields = np.concatenate([(psi_c @ vals.T)[..., None],
+                             np.einsum("vn,tcn->tvc", vals, q_c)], axis=2)
     acc = np.zeros((mesh.n_vertices, 3))
-    cnt = np.zeros(mesh.n_vertices)
-    for t in range(mesh.n_triangles):
-        psi = state.eval_psi(U, t, corners)
-        q = state.eval_q(U, t, corners)
-        for lv, vtx in enumerate(mesh.triangles[t]):
-            acc[vtx, 0] += psi[lv]
-            acc[vtx, 1:] += q[lv]
-            cnt[vtx] += 1.0
-    acc /= cnt[:, None]
+    np.add.at(acc, mesh.triangles.ravel(), fields.reshape(-1, 3))
+    acc /= np.bincount(mesh.triangles.ravel(), minlength=mesh.n_vertices)[:, None]
     return {"psi": acc[:, 0], "q_r": acc[:, 1], "q_z": acc[:, 2]}

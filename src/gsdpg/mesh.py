@@ -219,15 +219,23 @@ class Mesh:
             self._geometry = (jac, inv_T, det)
         return self._geometry
 
-    def map_to_physical(self, tri: int, ref_points: np.ndarray) -> np.ndarray:
-        jac, _, _ = self.geometry
-        p0 = self.vertices[self.triangles[tri, 0]]
-        return p0 + np.asarray(ref_points) @ jac[tri].T
+    def map_to_physical(self, tri, ref_points: np.ndarray) -> np.ndarray:
+        """Physical images (n, 2) of reference points under triangle ``tri``.
 
-    def map_to_reference(self, tri: int, phys_points: np.ndarray) -> np.ndarray:
+        ``tri`` may also be an index array of m triangles; the result is then
+        stacked (m, n, 2), the same reference points mapped by each.
+        """
         jac, _, _ = self.geometry
         p0 = self.vertices[self.triangles[tri, 0]]
-        return np.linalg.solve(jac[tri], (np.asarray(phys_points) - p0).T).T
+        return p0[..., None, :] + np.asarray(ref_points) @ np.swapaxes(jac[tri], -1, -2)
+
+    def map_to_reference(self, tri, phys_points: np.ndarray) -> np.ndarray:
+        """Inverse of ``map_to_physical``; for an index array ``tri`` of m
+        triangles, ``phys_points`` is (m, n, 2), one point set per triangle."""
+        jac, _, _ = self.geometry
+        p0 = self.vertices[self.triangles[tri, 0]]
+        rel = np.swapaxes(np.asarray(phys_points) - p0[..., None, :], -1, -2)
+        return np.swapaxes(np.linalg.solve(jac[tri], rel), -1, -2)
 
     @property
     def n_vertices(self):

@@ -30,6 +30,14 @@ class SolovevCoeffs:
 
 @dataclass
 class ProblemSpec:
+    """A Grad-Shafranov problem: domain, source split and boundary datum.
+
+    The source functions and the exact fields are called with numpy arrays
+    of point coordinates and must work elementwise: ``exact_psi(r, z)``
+    returns an array shaped like ``r``, ``exact_q(r, z)`` a tuple of two
+    such arrays.
+    """
+
     name: str
     boundary: BoundaryCurve
     f_lin: Callable[[float, float], float]
@@ -244,20 +252,23 @@ def linf_error(field_h, exact_field, mesh: Mesh, k: int, s: int = 2) -> float:
     """Max-over-elements sup-norm error on a fixed per-element sample lattice.
 
     ``field_h(tri, ref_points)`` returns discrete values at reference points;
-    ``exact_field(r, z)`` returns the exact scalar or component tuple.  Vector
+    ``exact_field(r, z)`` is called once with the arrays of all elements'
+    sample points and returns the exact scalar or component tuple.  Vector
     fields reduce by componentwise max.  Samples are the default volume
     quadrature points plus the 3 vertices.
     """
     rule = triangle_rule(default_volume_degree(k, s))
     ref = np.vstack([rule.points, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]])
+    phys = mesh.map_to_physical(np.arange(mesh.n_triangles), ref)
+    r, z = phys[..., 0], phys[..., 1]
+    ex = exact_field(r, z)
+    ex = np.stack([np.broadcast_to(np.asarray(c, dtype=float), r.shape)
+                   for c in (ex if isinstance(ex, (tuple, list)) else (ex,))],
+                   axis=-1)
     worst = 0.0
     for t in range(mesh.n_triangles):
-        phys = mesh.map_to_physical(t, ref)
         vals = np.atleast_2d(np.asarray(field_h(t, ref)))
         if vals.shape[0] != len(ref):
             vals = vals.T
-        ex = np.array([np.atleast_1d(exact_field(p[0], p[1])) for p in phys])
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        worst = max(worst, float(np.abs(vals - ex).max()))
+        worst = max(worst, float(np.abs(vals - ex[t]).max()))
     return worst

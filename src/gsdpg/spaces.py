@@ -65,18 +65,29 @@ class TrialSpace:
             [[self.offset_psihat + lo], interior, [self.offset_psihat + hi]]
         )
 
-    def element_dofs(self, tri: int) -> np.ndarray:
+    def element_dofs(self, tri) -> np.ndarray:
         """Local-to-global map for one element's B_K columns.
 
         Ordering: q (2*nk), psi (nk), then qhat_n per local edge, then psihat
         per local edge.  Shared skeleton DOFs appear once per incident edge.
+        For an index array ``tri`` of m elements the maps are stacked (m, n).
         """
-        parts = [self.q_dofs(tri), self.psi_dofs(tri)]
-        for le in range(3):
-            parts.append(self.qhat_edge_dofs(self.mesh.tri_edges[tri, le]))
-        for le in range(3):
-            parts.append(self.psihat_edge_dofs(self.mesh.tri_edges[tri, le]))
-        return np.concatenate(parts)
+        k, nk, m = self.k, self.nk, self.mesh
+        t = np.asarray(tri)[..., None]
+        e = m.tri_edges[tri]
+        qhat = self.offset_qhat + (k + 1) * e[..., None] + np.arange(k + 1)
+        lo, hi = np.moveaxis(m.edges[e], -1, 0)
+        psihat = np.concatenate([
+            self.offset_psihat + lo[..., None],
+            self.offset_psihat + m.n_vertices + k * e[..., None] + np.arange(k),
+            self.offset_psihat + hi[..., None],
+        ], axis=-1)
+        return np.concatenate([
+            self.offset_q + 2 * nk * t + np.arange(2 * nk),
+            self.offset_psi + nk * t + np.arange(nk),
+            qhat.reshape(*t.shape[:-1], -1),
+            psihat.reshape(*t.shape[:-1], -1),
+        ], axis=-1)
 
     def n_local(self) -> int:
         return 3 * self.nk + 3 * (self.k + 1) + 3 * (self.k + 2)

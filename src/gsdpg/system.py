@@ -1,9 +1,13 @@
 """Global minimal-residual machinery for the ultraweak scheme.
 
-Holds the element caches, the trial-space vector layout, the normal operator
-A = J^T G^{-1} B_L with its nonlinear-source corrections, the right-hand
-sides of the fixed-point map, and the energy residual r^T G^{-1} r used both
-as the solver objective and as the refinement estimator.
+Holds the stacked element arrays, the trial-space vector layout, the normal
+operator A = J^T G^{-1} B_L with its nonlinear-source corrections, the
+right-hand sides of the fixed-point map, and the energy residual
+r^T G^{-1} r used both as the solver objective and as the refinement
+estimator.  Every Gram inverse enters through the Cholesky factors
+G_K = L_K L_K^T as W_K = L_K^{-1} B_K and Z_K = L_K^{-1} E_tau, E_tau the
+injection of tau moments into the test rows, so all element products are
+stacked ``(T, ...)`` array operations.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import solve_triangular
 
 from .assembly import STANDARD, ElementCache
 from .problems import ProblemSpec
@@ -18,7 +23,7 @@ from .spaces import TestSpace, TrialSpace, interpolate_boundary
 
 
 class GlobalState:
-    """Cached element systems plus global sparse operators for one mesh."""
+    """Stacked element systems plus global sparse operators for one mesh."""
 
     def __init__(self, mesh, problem: ProblemSpec, k: int, s: int = 2,
                  norm: str = STANDARD):
@@ -33,28 +38,35 @@ class GlobalState:
         self.free[self.bdata.dofs] = False
 
         n = self.test.nks
-        T = mesh.n_triangles
         self._tau = slice(2 * n, 3 * n)
-        # stacked per-element operators so the per-iteration work is batched:
-        #   GinvB_tau : tau rows of G^{-1} B            (T, nks, ncols)
-        #   P_tau     : B^T G^{-1} restricted to tau    (T, ncols, nks)
-        #   Gtt       : tau-tau block of G^{-1}         (T, nks, nks)
-        GinvB = [self.cache.gram_solve(t, self.cache.B[t]) for t in range(T)]
-        self.GinvB_tau = np.stack([g[self._tau] for g in GinvB])
-        eye_tau = np.zeros((3 * n, n))
-        eye_tau[self._tau] = np.eye(n)
-        Ginv_tau = np.stack([self.cache.gram_solve(t, eye_tau) for t in range(T)])
-        self.P_tau = np.einsum("trc,trj->tcj", np.stack(self.cache.B), Ginv_tau)
-        self.Gtt = Ginv_tau[:, self._tau, :]
-        del GinvB, Ginv_tau
-        self.cols_st = np.stack(self.cache.cols)
-        self._pts_st = np.stack(self.cache.phys_pts)
-        self._w_st = np.stack(self.cache.w_phys)
-        self.L = np.array(
-            [self.cache.linear_source(t, problem) for t in range(T)]
-        )
+        self._c_psi = slice(2 * self.trial.nk, 3 * self.trial.nk)
+        # stacked whitened operators, so the per-iteration work is batched:
+        #   W     : L^{-1} B                        (T, 3 nks, ncols)
+        #   Z     : tau block of L^{-1} E_tau       (T, nks, nks)
+        #           (L is lower triangular and tau rows come last, so
+        #           L^{-1} E_tau vanishes above them)
+        #   P_tau : B^T G^{-1} E_tau = W^T Z        (T, ncols, nks)
+        #   Gtt   : E_tau^T G^{-1} E_tau = Z^T Z    (T, nks, nks)
+        self.W, self.Z = self._whiten()
+        self.P_tau = np.swapaxes(self.W[:, self._tau], 1, 2) @ self.Z
+        self.Gtt = np.swapaxes(self.Z, 1, 2) @ self.Z
+        self.L = self.cache.linear_source(problem)      # F_L moments (T, nks)
         self._A0 = None
         self._A0_el = None
+
+    def _whiten(self):
+        c = self.cache
+        n, nc = self.test.nks, c.n_cols
+        W = np.empty_like(c.B)
+        Z = np.empty((len(W), n, n))
+        rhs = np.zeros((3 * n, nc + n))
+        rhs[self._tau, nc:] = np.eye(n)
+        for t in range(len(W)):
+            rhs[:, :nc] = c.B[t]
+            X = solve_triangular(c.L[t], rhs, lower=True, check_finite=False)
+            W[t] = X[:, :nc]
+            Z[t] = X[self._tau, nc:]
+        return W, Z
 
     # -- trial vector helpers ------------------------------------------
 
@@ -75,56 +87,48 @@ class GlobalState:
         nk = self.trial.nk
         return U[self.trial.q_dofs(t)].reshape(2, nk)
 
+    def interior_coeffs(self, U: np.ndarray):
+        """Stacked interior coefficients: q (T, 2, nk) and psi (T, nk)."""
+        tr = self.trial
+        T = self.mesh.n_triangles
+        return (U[tr.offset_q:tr.offset_psi].reshape(T, 2, tr.nk),
+                U[tr.offset_psi:tr.offset_qhat].reshape(T, tr.nk))
+
+    def _scatter(self, loc: np.ndarray) -> np.ndarray:
+        """Sum stacked (T, ncols) element vectors into the trial layout."""
+        return np.bincount(self.cache.cols.ravel(), loc.ravel(),
+                           minlength=self.n_total)
+
     # -- residual and energy -------------------------------------------
 
     def sources(self, U: np.ndarray):
         """Per-element nonlinear moments (N, D) at the current psi, batched
         over all elements: N is (T, nks), D is (T, nks, nk)."""
-        from .assembly import SourceEvaluationError
-
-        T = self.mesh.n_triangles
-        nk = self.trial.nk
-        psi_c = U[self.trial.offset_psi:self.trial.offset_qhat].reshape(T, nk)
-        psi_q = psi_c @ self.cache.uv.T            # (T, nq)
-        r = self._pts_st[:, :, 0]
-        z = self._pts_st[:, :, 1]
-        fn = np.broadcast_to(
-            np.asarray(self.problem.f_nl(r, z, psi_q), dtype=float), r.shape)
-        dfn = np.broadcast_to(
-            np.asarray(self.problem.df_nl(r, z, psi_q), dtype=float), r.shape)
-        for arr, label in ((fn, "F_N"), (dfn, "dF_N/dpsi")):
-            if not np.all(np.isfinite(arr)):
-                t, q = np.argwhere(~np.isfinite(arr))[0]
-                raise SourceEvaluationError(
-                    f"{label} non-finite on element {t} at point "
-                    f"({r[t, q]:.6g}, {z[t, q]:.6g})")
-        tv = self.cache.tv
-        N = np.einsum("qi,tq->ti", tv, self._w_st * fn / r)
-        D = np.einsum("qi,tq,qj->tij", tv, self._w_st * dfn / r, self.cache.uv)
-        return N, D
+        _, psi_c = self.interior_coeffs(U)
+        return self.cache.source_moments(psi_c @ self.cache.uv.T, self.problem)
 
     def residual_elements(self, U: np.ndarray, N: np.ndarray | None = None) -> np.ndarray:
         """(T, 3*nks) array of element test-space residuals."""
         if N is None:
             N, _ = self.sources(U)
-        T = self.mesh.n_triangles
-        r = np.empty((T, 3 * self.test.nks))
-        for t in range(T):
-            r[t] = self.cache.B[t] @ U[self.cache.cols[t]]
-            r[t, self._tau] -= N[t] + self.L[t]
+        r = np.einsum("tij,tj->ti", self.cache.B, U[self.cache.cols])
+        r[:, self._tau] -= N + self.L
         return r
 
     def residual_vector(self, U: np.ndarray) -> np.ndarray:
         return self.residual_elements(U).ravel()
 
-    def energy_residual(self, U: np.ndarray, r_el: np.ndarray | None = None):
+    def _whitened_residual(self, U: np.ndarray, N: np.ndarray) -> np.ndarray:
+        """L^{-1} r per element: W u - Z (N + F_L) on the tau rows."""
+        y = np.einsum("tij,tj->ti", self.W, U[self.cache.cols])
+        y[:, self._tau] -= np.einsum("tij,tj->ti", self.Z, N + self.L)
+        return y
+
+    def energy_residual(self, U: np.ndarray):
         """(E_total, per-element E_K) with E_total**2 = sum E_K**2."""
-        if r_el is None:
-            r_el = self.residual_elements(U)
-        E2 = np.empty(self.mesh.n_triangles)
-        for t in range(self.mesh.n_triangles):
-            E2[t] = r_el[t] @ self.cache.gram_solve(t, r_el[t])
-        E2 = np.maximum(E2, 0.0)
+        N, _ = self.sources(U)
+        y = self._whitened_residual(U, N)
+        E2 = np.einsum("ti,ti->t", y, y)
         return float(np.sqrt(E2.sum())), np.sqrt(E2)
 
     def riesz_element(self, t: int, r_K: np.ndarray) -> np.ndarray:
@@ -135,40 +139,28 @@ class GlobalState:
         """g = J^T(U) G^{-1} r(U) on the full trial layout."""
         if N is None or D is None:
             N, D = self.sources(U)
-        r_el = self.residual_elements(U, N)
-        g = np.zeros(self.n_total)
-        nk = self.trial.nk
-        c_psi = slice(2 * nk, 3 * nk)
-        for t in range(self.mesh.n_triangles):
-            y = self.cache.gram_solve(t, r_el[t])
-            loc = self.cache.B[t].T @ y
-            loc[c_psi] -= D[t].T @ y[self._tau]
-            np.add.at(g, self.cache.cols[t], loc)
-        return g
+        y = self._whitened_residual(U, N)
+        loc = np.einsum("tic,ti->tc", self.W, y)
+        y_tau = np.einsum("tji,tj->ti", self.Z, y[:, self._tau])
+        loc[:, self._c_psi] -= np.einsum("tji,tj->ti", D, y_tau)
+        return self._scatter(loc)
 
     # -- normal operator -----------------------------------------------
 
     def element_static_blocks(self) -> np.ndarray:
         """Stacked (T, ncols, ncols) per-element blocks of B_L^T G^{-1} B_L."""
         if self._A0_el is None:
-            self._A0_el = np.stack([
-                self.cache.B[t].T @ self.cache.gram_solve(t, self.cache.B[t])
-                for t in range(self.mesh.n_triangles)
-            ])
+            self._A0_el = np.swapaxes(self.W, 1, 2) @ self.W
         return self._A0_el
 
     def normal_matrix_static(self) -> sp.csr_matrix:
         """B_L^T G^{-1} B_L assembled once per mesh (symmetric part)."""
         if self._A0 is None:
-            blocks = self.element_static_blocks()
-            rows, cols, data = [], [], []
-            for t in range(self.mesh.n_triangles):
-                c = self.cache.cols[t]
-                rows.append(np.repeat(c, len(c)))
-                cols.append(np.tile(c, len(c)))
-                data.append(blocks[t].ravel())
+            c = self.cache.cols
+            m = c.shape[1]
             A = sp.coo_matrix(
-                (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                (self.element_static_blocks().ravel(),
+                 (np.repeat(c, m, axis=1).ravel(), np.tile(c, (1, m)).ravel())),
                 shape=(self.n_total, self.n_total),
             )
             self._A0 = A.tocsr()
@@ -184,42 +176,33 @@ class GlobalState:
             if U is None:
                 raise ValueError("need U (or precomputed D) for the D_N terms")
             _, D = self.sources(U)
-        rows, cols, data = [], [], []
-        for t in range(self.mesh.n_triangles):
-            D_K = D[t]
-            if not np.any(D_K):
-                continue
-            # correction (-D_N)^T (G^{-1} B_L) lands in the psi block rows
-            C_K = -D_K.T @ self.GinvB_tau[t]
-            c = self.cache.cols[t]
-            pr = self.trial.psi_dofs(t)
-            rows.append(np.repeat(pr, len(c)))
-            cols.append(np.tile(c, len(pr)))
-            data.append(C_K.ravel())
-        if not data:
+        active = np.nonzero(np.any(D, axis=(1, 2)))[0]
+        if len(active) == 0:
             return A
+        # correction (-D_N)^T (G^{-1} B_L) lands in the psi block rows
+        C_el = -np.swapaxes(D[active], 1, 2) @ np.swapaxes(self.P_tau[active], 1, 2)
+        c = self.cache.cols[active]
+        pr = self.trial.offset_psi + self.trial.nk * active[:, None] + np.arange(self.trial.nk)
         C = sp.coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+            (C_el.ravel(),
+             (np.repeat(pr, c.shape[1], axis=1).ravel(), np.tile(c, (1, pr.shape[1])).ravel())),
             shape=(self.n_total, self.n_total),
         )
         return (A + C.tocsr()).tocsr()
+
+    def _element_rhs(self, N, D) -> np.ndarray:
+        """Stacked (T, ncols) element parts of J^T G^{-1} (B_N(U) + F_L)."""
+        src = N + self.L                               # (T, nks)
+        b = np.einsum("tcj,tj->tc", self.P_tau, src)
+        y_tau = np.einsum("tij,tj->ti", self.Gtt, src)
+        b[:, self._c_psi] -= np.einsum("tji,tj->ti", D, y_tau)
+        return b
 
     def fixed_point_rhs(self, U: np.ndarray, N=None, D=None) -> np.ndarray:
         """b = J^T(U) G^{-1} (B_N(U) + F_L) on the full trial layout."""
         if N is None or D is None:
             N, D = self.sources(U)
-        b = np.zeros(self.n_total)
-        nk = self.trial.nk
-        c_psi = slice(2 * nk, 3 * nk)
-        f = np.zeros(3 * self.test.nks)
-        for t in range(self.mesh.n_triangles):
-            f[:] = 0.0
-            f[self._tau] = N[t] + self.L[t]
-            y = self.cache.gram_solve(t, f)
-            loc = self.cache.B[t].T @ y
-            loc[c_psi] -= D[t].T @ y[self._tau]
-            np.add.at(b, self.cache.cols[t], loc)
-        return b
+        return self._scatter(self._element_rhs(N, D))
 
     def solve_linearized(self, N, D) -> np.ndarray:
         """Direct solve of A x = b by local elimination of interior fields.
@@ -231,18 +214,14 @@ class GlobalState:
         """
         tr = self.trial
         nk3 = 3 * tr.nk
-        c_psi = slice(2 * tr.nk, 3 * tr.nk)
         off = tr.offset_qhat
         n_tr = self.n_total - off
         A = self.element_static_blocks()
 
-        src = N + self.L                               # (T, nks)
-        y_tau = np.einsum("tij,tj->ti", self.Gtt, src)
-        b = np.einsum("tcj,tj->tc", self.P_tau, src)   # (T, ncols)
+        b = self._element_rhs(N, D)                    # (T, ncols)
         if np.any(D):
             A = A.copy()
-            A[:, c_psi, :] -= np.einsum("tji,tjc->tic", D, self.GinvB_tau)
-            b[:, c_psi] -= np.einsum("tji,tj->ti", D, y_tau)
+            A[:, self._c_psi, :] -= np.swapaxes(D, 1, 2) @ np.swapaxes(self.P_tau, 1, 2)
 
         A_ii = A[:, :nk3, :nk3]
         A_it = A[:, :nk3, nk3:]
@@ -252,7 +231,7 @@ class GlobalState:
         S_el = A[:, nk3:, nk3:] - A_ti @ X             # (T, ntr, ntr)
         r_el = b[:, nk3:] - np.einsum("tij,tj->ti", A_ti, y_i)
 
-        c_t = self.cols_st[:, nk3:] - off              # (T, ntr_local)
+        c_t = self.cache.cols[:, nk3:] - off           # (T, ntr_local)
         m = c_t.shape[1]
         S = sp.coo_matrix(
             (S_el.ravel(),
@@ -275,11 +254,11 @@ class GlobalState:
 
         U = np.zeros(self.n_total)
         U[off:] = x_t
-        v = U[self.cols_st[:, nk3:]]                   # (T, ntr_local)
+        v = U[self.cache.cols[:, nk3:]]                # (T, ntr_local)
         x_i = np.linalg.solve(
             A_ii, (b[:, :nk3] - np.einsum("tij,tj->ti", A_it, v))[:, :, None]
         )[:, :, 0]
-        U[self.cols_st[:, :nk3]] = x_i
+        U[self.cache.cols[:, :nk3]] = x_i
         return U
 
     # -- boundary elimination ------------------------------------------

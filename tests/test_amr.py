@@ -9,9 +9,11 @@ from gsdpg.amr import (
     mark,
     transfer_solution,
 )
+import gsdpg.amr
 from gsdpg.mesh import bisect_conforming, build_builtin_mesh, rectangle_curve, uniform_refine
 from gsdpg.problems import get_problem
 from gsdpg.solvers import AndersonParams, solve_nonlinear
+from gsdpg.spaces import _REF_VERTS
 from gsdpg.system import GlobalState
 
 
@@ -53,6 +55,29 @@ class TestEstimate:
         assert np.array_equal(ind, i2)
 
 
+def reference_transfer(old, U_old, new):
+    """transfer_solution one element and one edge at a time."""
+    mesh, tr = new.mesh, new.trial
+    rule = new.cache.vol_rule
+    proj = (new.cache.uv * rule.weights[:, None]).T
+    U = np.zeros(new.n_total)
+    for t in range(mesh.n_triangles):
+        parent = int(mesh.parent_elements[t])
+        ref = old.mesh.map_to_reference(parent, mesh.map_to_physical(t, rule.points))
+        U[tr.psi_dofs(t)] = proj @ old.eval_psi(U_old, parent, ref)
+        U[tr.q_dofs(t)] = (proj @ old.eval_q(U_old, parent, ref)).T.ravel()
+    for e in range(mesh.n_edges):
+        t0 = int(mesh.edge_tris[e, 0])
+        lo, hi = mesh.edges[e]
+        a = _REF_VERTS[int(np.nonzero(mesh.triangles[t0] == lo)[0][0])]
+        d = _REF_VERTS[int(np.nonzero(mesh.triangles[t0] == hi)[0][0])] - a
+        refq = a + tr.qhat_basis.nodes[:, None] * d
+        refp = a + tr.psihat_basis.nodes[:, None] * d
+        U[tr.qhat_edge_dofs(e)] = new.eval_q(U, t0, refq) @ mesh.edge_normals[e]
+        U[tr.psihat_edge_dofs(e)] = new.eval_psi(U, t0, refp)
+    return new.apply_boundary(U)
+
+
 class TestTransfer:
     def poly_vector(self, st):
         """Trial vector holding an exactly representable polynomial state."""
@@ -91,6 +116,18 @@ class TestTransfer:
         # boundary data is re-imposed exactly
         assert np.abs(U_f[st_f.bdata.dofs] - st_f.bdata.values).max() == 0.0
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_loop_reference(self, jittered_mesh, k):
+        prob = get_problem("rect-amr")
+        st = GlobalState(jittered_mesh, prob, k)
+        rng = np.random.default_rng(k)
+        U = st.apply_boundary(rng.standard_normal(st.n_total))
+        fine = bisect_conforming(jittered_mesh, [0, 5, 11, 20])
+        st_f = GlobalState(fine, prob, k)
+        got = transfer_solution(st, U, st_f)
+        want = reference_transfer(st, U, st_f)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_degree_mismatch_rejected(self):
         prob = get_problem("rect-amr")
         mesh = build_builtin_mesh(prob.boundary, (2, 2))
@@ -121,6 +158,22 @@ class TestAmrLoop:
         assert all(E[i + 1] < E[i] for i in range(len(E) - 1))
         sizes = [s.n_elements for s in report.steps]
         assert all(sizes[i + 1] > sizes[i] for i in range(len(sizes) - 1))
+
+    def test_builds_one_state_per_solve(self, monkeypatch):
+        built = []
+
+        class CountingState(GlobalState):
+            def __init__(self, *args, **kwargs):
+                built.append(args[0].n_triangles)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(gsdpg.amr, "GlobalState", CountingState)
+        prob = get_problem("rect-amr")
+        mesh = build_builtin_mesh(prob.boundary, (4, 4))
+        state, _, report = amr_loop(prob, mesh, k=1, params=AmrParams(max_iters=2))
+        assert report.message == "max AMR iterations reached"
+        assert len(built) == len(report.steps) == 2
+        assert state.mesh.n_triangles == report.steps[-1].n_elements
 
     def test_budget_stops_loop(self):
         prob = get_problem("rect-amr")

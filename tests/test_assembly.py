@@ -6,13 +6,13 @@ from gsdpg.assembly import (
     STANDARD,
     ElementCache,
     SourceEvaluationError,
-    assemble_element_B,
     assemble_element_source,
 )
 from gsdpg.basis import triangle_rule
 from gsdpg.mesh import Mesh, build_builtin_mesh, rectangle_curve
-from gsdpg.problems import solovev_problem
-from gsdpg.spaces import TestSpace, TrialSpace
+from gsdpg.problems import get_problem, solovev_problem
+from gsdpg.spaces import _REF_VERTS, TestSpace, TrialSpace
+from gsdpg.system import GlobalState
 
 
 def small_mesh():
@@ -59,6 +59,95 @@ def interpolate_element_vector(cache, trial, t, psi, q):
     return u
 
 
+def reference_element(cache, t):
+    """(B_K, G_K) of element t, built one element at a time from the
+    quadrature definitions: the reference for the stacked kernel."""
+    mesh, trial, test = cache.mesh, cache.trial, cache.test
+    n, nk = test.nks, trial.nk
+    _, inv_T, det = mesh.geometry
+    rule = cache.vol_rule
+    tv, tg_ref = test.basis.eval(rule.points)
+    uv, _ = trial.q_basis.eval(rule.points)
+    w = rule.weights * det[t]
+    r = mesh.map_to_physical(t, rule.points)[:, 0]
+    g = np.einsum("ab,qib->qia", inv_T[t], tg_ref)
+    gx, gy = g[:, :, 0], g[:, :, 1]
+
+    B = np.zeros((3 * n, trial.n_local()))
+    phir, phiz, tau = slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)
+    qr, qz, psi = slice(0, nk), slice(nk, 2 * nk), slice(2 * nk, 3 * nk)
+    Mr = (tv * (w * r)[:, None]).T @ uv
+    B[phir, qr] = Mr
+    B[phiz, qz] = Mr
+    B[phir, psi] = -(gx * w[:, None]).T @ uv
+    B[phiz, psi] = -(gy * w[:, None]).T @ uv
+    B[tau, qr] = -(gx * w[:, None]).T @ uv
+    B[tau, qz] = -(gy * w[:, None]).T @ uv
+    t_e = cache.edg_rule.points[:, 0]
+    qhat_vals, _ = trial.qhat_basis.eval(t_e)
+    psihat_vals, _ = trial.psihat_basis.eval(t_e)
+    kq, kp = trial.k + 1, trial.k + 2
+    for le in range(3):
+        sign, _, _, length = trial.edge_param_geometry(t, le)
+        e = mesh.tri_edges[t, le]
+        n_out = sign * mesh.edge_normals[e]
+        lo, hi = mesh.edges[e]
+        l_lo = int(np.nonzero(mesh.triangles[t] == lo)[0][0])
+        l_hi = int(np.nonzero(mesh.triangles[t] == hi)[0][0])
+        ref = _REF_VERTS[l_lo] + t_e[:, None] * (_REF_VERTS[l_hi] - _REF_VERTS[l_lo])
+        tvals, _ = test.basis.eval(ref)
+        ds = cache.edg_rule.weights * length
+        c_qh = 3 * nk + le * kq
+        c_ph = 3 * nk + 3 * kq + le * kp
+        B[tau, c_qh:c_qh + kq] += sign * (tvals * ds[:, None]).T @ qhat_vals
+        Tp = (tvals * ds[:, None]).T @ psihat_vals
+        B[phir, c_ph:c_ph + kp] += n_out[0] * Tp
+        B[phiz, c_ph:c_ph + kp] += n_out[1] * Tp
+
+    z = np.zeros_like(tv)
+    if cache.norm == STANDARD:
+        feats = [np.hstack([tv, z, z]), np.hstack([z, tv, z]),
+                 np.hstack([gx, gy, z]), np.hstack([z, z, tv]),
+                 np.hstack([z, z, gx]), np.hstack([z, z, gy])]
+    else:
+        rr = r[:, None]
+        feats = [np.hstack([rr * tv, z, -gx]), np.hstack([z, rr * tv, -gy]),
+                 np.hstack([gx, gy, z]), np.hstack([tv, z, z]),
+                 np.hstack([z, tv, z]), np.hstack([z, z, tv])]
+    G = sum((F * w[:, None]).T @ F for F in feats)
+    return B, 0.5 * (G + G.T)
+
+
+KERNEL_CASES = [(k, norm) for k in (1, 2, 3) for norm in (STANDARD, ADJOINT_GRAPH)]
+
+
+class TestStackedKernel:
+    @pytest.mark.parametrize("k,norm", KERNEL_CASES)
+    def test_matches_loop_reference(self, jittered_mesh, k, norm):
+        cache, _, _ = make_cache(jittered_mesh, k=k, norm=norm)
+        for t in range(jittered_mesh.n_triangles):
+            B, G = reference_element(cache, t)
+            assert np.abs(cache.B[t] - B).max() <= 1e-13 * np.abs(B).max()
+            assert np.abs(cache.gram_dense(t) - G).max() <= 1e-13 * np.abs(G).max()
+
+    @pytest.mark.parametrize("k,norm", KERNEL_CASES)
+    def test_whitened_blocks_match_gram_solve(self, jittered_mesh, k, norm):
+        st = GlobalState(jittered_mesh, get_problem("rect-amr"), k, norm=norm)
+        A = st.element_static_blocks()
+        for t in range(jittered_mesh.n_triangles):
+            B, G = reference_element(st.cache, t)
+            want = B.T @ np.linalg.solve(G, B)
+            assert np.abs(A[t] - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_failing_element_is_named(self, jittered_mesh):
+        cache, _, _ = make_cache(jittered_mesh, k=1)
+        G = np.stack([cache.gram_dense(t) for t in range(4)])
+        G[2] *= -1.0
+        G[3] *= -1.0
+        with pytest.raises(RuntimeError, match="Gram Cholesky failed on element 2$"):
+            ElementCache._cholesky(G)
+
+
 class TestElementMatrix:
     @pytest.mark.parametrize("t", [0, 3, 5])
     def test_first_order_system_identity(self, t):
@@ -93,10 +182,6 @@ class TestElementMatrix:
         want = np.concatenate([
             tv.T @ (w * mis_r), tv.T @ (w * mis_z), tv.T @ (w * divq)])
         assert np.abs(got - want).max() < 1e-11
-
-    def test_wrapper_returns_cached_matrix(self):
-        cache, _, _ = make_cache(small_mesh())
-        assert assemble_element_B(cache, 0) is cache.B[0]
 
     def test_unknown_norm_rejected(self):
         mesh = small_mesh()

@@ -3,6 +3,8 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from gsdpg.assembly import SourceEvaluationError
+from gsdpg.basis import default_volume_degree, triangle_rule
 from gsdpg.mesh import build_builtin_mesh, rectangle_curve
 from gsdpg.problems import get_problem
 from gsdpg.system import (
@@ -59,6 +61,24 @@ class TestResidualAndEnergy:
         r_K = rng.standard_normal(3 * nl_state.test.nks)
         y = nl_state.riesz_element(t, r_K)
         assert np.abs(nl_state.cache.gram_dense(t) @ y - r_K).max() < 1e-9
+
+
+class TestLinearSource:
+    def test_nonfinite_linear_source_names_element_and_point(self):
+        prob = get_problem("rect-amr")
+        prob.f_lin = lambda r, z: np.where(r > 1.0, np.nan, 0.0)
+        mesh = build_builtin_mesh(prob.boundary, (3, 3))
+        rule = triangle_rule(default_volume_degree(1, 2))
+        for t in range(mesh.n_triangles):
+            pts = mesh.map_to_physical(t, rule.points)
+            if np.any(pts[:, 0] > 1.0):
+                r, z = pts[np.argmax(pts[:, 0] > 1.0)]
+                break
+        want = f"F_L non-finite on element {t} at point ({r:.6g}, {z:.6g})"
+        with pytest.raises(SourceEvaluationError) as err:
+            GlobalState(mesh, prob, k=1)
+        assert str(err.value) == want
+        assert t > 0
 
 
 class TestNormalOperator:

@@ -26,7 +26,6 @@ from .solvers import (
     anderson_solve,
     build_block_jacobi,
     cubic_line_search,
-    jfnk_solve,
     krylov_solve,
     solve_nonlinear,
 )
@@ -42,7 +41,7 @@ __all__ = [
     "TrialSpace", "amr_loop", "anderson_solve", "bisect_conforming",
     "build_block_jacobi", "build_builtin_mesh", "build_test_space",
     "build_trial_space", "cubic_line_search", "d_shape_curve", "estimate",
-    "get_problem", "jfnk_solve", "krylov_solve", "linf_error", "mark",
+    "get_problem", "krylov_solve", "linf_error", "mark",
     "read_msh", "rectangle_curve", "solovev_coefficients", "solve_nonlinear",
     "transfer_solution", "uniform_refine", "EdgeNodalBasis",
     "TriangleModalBasis", "edge_rule", "triangle_rule",

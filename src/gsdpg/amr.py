@@ -40,6 +40,7 @@ class AmrStep:
     energy_residual: float
     n_marked: int
     nonlinear_iters: int
+    converged: bool
 
 
 @dataclass
@@ -154,7 +155,7 @@ def amr_loop(problem, mesh: Mesh, k: int, s: int = 2,
         total, ind = estimate(state, U)
         marked = mark(ind, total, p.marking)
         report.steps.append(AmrStep(it, state.mesh.n_triangles, total,
-                                    len(marked), res.iterations))
+                                    len(marked), res.iterations, res.converged))
         if len(marked) == 0:
             report.converged = True
             report.message = "no elements above marking thresholds"

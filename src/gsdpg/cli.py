@@ -9,6 +9,7 @@ import numpy as np
 
 from . import io as gio
 from .amr import AmrParams, MarkingParams, amr_loop
+from .assembly import SourceEvaluationError
 from .mesh import MeshError, MshParseError, build_builtin_mesh, read_msh, uniform_refine
 from .problems import get_problem, linf_error
 from .solvers import AndersonParams, solve_nonlinear
@@ -107,8 +108,13 @@ def cmd_amr(cfg) -> int:
                                 norm=cfg["norm"])
     for st in report.steps:
         print(f"iter {st.iteration}: T={st.n_elements} E={st.energy_residual:.6e} "
-              f"marked={st.n_marked} nonlinear={st.nonlinear_iters}")
+              f"marked={st.n_marked} nonlinear={st.nonlinear_iters}"
+              + ("" if st.converged else " (not converged)"))
     print(report.message)
+    failed = [st.iteration for st in report.steps if not st.converged]
+    if failed:
+        print(f"nonlinear solve did not converge at AMR iteration(s) "
+              f"{', '.join(map(str, failed))}", file=sys.stderr)
     hist = cfg["output_prefix"] + "_amr_history.csv"
     with open(hist, "w", newline="\n") as fh:
         fh.write(gio.amr_history_csv(report.steps))
@@ -118,7 +124,7 @@ def cmd_amr(cfg) -> int:
                   point_data=gio.vertex_averaged_fields(state, U),
                   cell_data={"energy_residual": ind})
     print(f"wrote {hist} and {out}")
-    return 0
+    return 2 if failed else 0
 
 
 def main(argv=None) -> int:
@@ -141,6 +147,9 @@ def main(argv=None) -> int:
     except (gio.ConfigError, MshParseError, MeshError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (RuntimeError, SourceEvaluationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

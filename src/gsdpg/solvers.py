@@ -4,7 +4,11 @@ The nonlinear path is a Picard iteration on the fixed-point map
 A(U) = (J^T G^{-1} B_L)^{-1} [J^T G^{-1} (B_N(U) + F_L)], accelerated with
 Anderson mixing and a cubic backtracking line search.  The inner linear
 solve uses either a sparse direct factorization or flexible GMRES with a
-four-block Jacobi preconditioner.
+four-block Jacobi preconditioner.  GMRES orthogonalizes with classical
+Gram-Schmidt plus one reorthogonalization (CGS2) over the stacked basis and
+keeps the Hessenberg QR as a small rotation matrix; the preconditioner's
+interior blocks are per-element inverses applied as one batched product.
+An outer iteration that meets a non-finite residual stops and says so.
 """
 
 from __future__ import annotations
@@ -12,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import solve_triangular
 
 from .system import GlobalState
 
@@ -47,6 +51,8 @@ class SolveResult:
 
 # -- linear algebra -----------------------------------------------------
 
+_EPS = np.finfo(float).eps
+
 
 def krylov_solve(A, b, M=None, params: KrylovParams | None = None):
     """Right-preconditioned restarted (flexible) GMRES.
@@ -54,6 +60,14 @@ def krylov_solve(A, b, M=None, params: KrylovParams | None = None):
     ``A`` is a matrix or LinearOperator, ``M`` an optional preconditioner
     callable/operator approximating A^{-1}.  Returns (x, info) where info
     holds the iteration count and final relative residual.
+
+    Each step orthogonalizes against the basis with classical Gram-Schmidt
+    and one full reorthogonalization (CGS2), four matrix-vector products
+    over the stacked basis ``V``.  The Hessenberg matrix is reduced to
+    triangular form by Givens rotations accumulated in a small orthogonal
+    matrix ``Qt``, so the residual estimate of step j is beta |Qt[j+1, 0]|.
+    A happy breakdown (the new basis vector vanishes against the column)
+    ends the restart cycle.
     """
     params = params or KrylovParams()
     n = b.shape[0]
@@ -72,45 +86,44 @@ def krylov_solve(A, b, M=None, params: KrylovParams | None = None):
     x = np.zeros(n)
     total = 0
     m = params.restart
+    V = np.empty((m + 1, n))
+    Z = np.empty((m, n))
+    R = np.zeros((m, m))
     while total < params.max_iters:
         r = b - matvec(x)
         beta = np.linalg.norm(r)
         if beta <= tol:
             return x, {"iterations": total, "relres": beta / bnorm, "converged": True}
-        V = np.zeros((m + 1, n))
-        Z = np.zeros((m, n))
-        H = np.zeros((m + 1, m))
         V[0] = r / beta
-        g = np.zeros(m + 1)
-        g[0] = beta
-        cs = np.zeros(m)
-        sn = np.zeros(m)
+        Qt = np.eye(m + 1)
         j = 0
         while j < m and total < params.max_iters:
             Z[j] = psolve(V[j])
             w = matvec(Z[j])
-            for i in range(j + 1):
-                H[i, j] = w @ V[i]
-                w -= H[i, j] * V[i]
-            H[j + 1, j] = np.linalg.norm(w)
-            if H[j + 1, j] > 1e-300:
-                V[j + 1] = w / H[j + 1, j]
-            # Givens rotations
-            for i in range(j):
-                t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
-                H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
-                H[i, j] = t
-            d = np.hypot(H[j, j], H[j + 1, j])
-            cs[j], sn[j] = H[j, j] / d, H[j + 1, j] / d
-            H[j, j] = d
-            H[j + 1, j] = 0.0
-            g[j + 1] = -sn[j] * g[j]
-            g[j] = cs[j] * g[j]
+            Vj = V[:j + 1]
+            h = Vj @ w
+            w -= h @ Vj
+            h2 = Vj @ w
+            w -= h2 @ Vj
+            h += h2
+            h_next = np.linalg.norm(w)
+            # rotate the new column by the accumulated rotations, then
+            # annihilate its subdiagonal entry h_next
+            col = Qt[:j + 1, :j + 1] @ h
+            d = np.hypot(col[j], h_next)
+            c, s = col[j] / d, h_next / d
+            col[j] = d
+            R[:j + 1, j] = col
+            Qt[[j, j + 1], :j + 2] = (np.array([[c, s], [-s, c]])
+                                      @ Qt[[j, j + 1], :j + 2])
             total += 1
             j += 1
-            if abs(g[j]) <= tol:
+            if h_next <= _EPS * np.linalg.norm(h):
+                break                   # happy breakdown: span(V) is invariant
+            V[j] = w / h_next
+            if beta * abs(Qt[j, 0]) <= tol:
                 break
-        y = np.linalg.solve(np.triu(H[:j, :j]), g[:j])
+        y = solve_triangular(R[:j, :j], beta * Qt[:j, 0], check_finite=False)
         x = x + y @ Z[:j]
     r = b - matvec(x)
     relres = np.linalg.norm(r) / bnorm
@@ -123,8 +136,11 @@ class BlockJacobiPreconditioner:
 
     Block ranges follow the global (Q, Psi, Qhat_n, Psihat) ordering; on the
     constrained system the boundary-eliminated DOFs are simply absent.  The
-    sparse direct factorization of each block replaces the multigrid inner
-    solvers of large-scale settings.
+    interior blocks P11 (Q) and P22 (Psi) couple only within an element, so
+    they are inverted element by element from the stacked static blocks and
+    applied with one batched product each; the two trace blocks keep a
+    sparse direct factorization, which replaces the multigrid inner solvers
+    of large-scale settings.
     """
 
     def __init__(self, state: GlobalState, free: np.ndarray | None = None):
@@ -133,6 +149,11 @@ class BlockJacobiPreconditioner:
         bounds = [0, tr.offset_psi, tr.offset_qhat, tr.offset_psihat, tr.n_total]
         if free is None:
             free = np.ones(tr.n_total, dtype=bool)
+        if not free[:tr.offset_qhat].all():
+            raise ValueError("block-Jacobi preconditioner needs every interior DOF free")
+        A_el = state.element_static_blocks()
+        nq = 2 * tr.nk
+        interior = [A_el[:, :nq, :nq], A_el[:, nq:nq + tr.nk, nq:nq + tr.nk]]
         idx = np.nonzero(free)[0]
         self.n = len(idx)
         self.block_slices = []
@@ -148,15 +169,18 @@ class BlockJacobiPreconditioner:
             if asym > 1e-10 * max(1.0, abs(P_bb).max()):
                 raise RuntimeError(f"preconditioner block {b + 1} is not symmetric")
             try:
-                self.factors.append(spla.splu(P_bb))
-            except RuntimeError as exc:
+                self.factors.append(np.linalg.inv(interior[b]) if b < 2
+                                    else spla.splu(P_bb))
+            except (RuntimeError, np.linalg.LinAlgError) as exc:
                 raise RuntimeError(f"factorization of block P{b + 1}{b + 1} failed") from exc
             self.block_slices.append(sl)
             self.blocks.append(P_bb)
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         out = np.empty_like(v)
-        for sl, lu in zip(self.block_slices, self.factors):
+        for sl, f in zip(self.block_slices[:2], self.factors[:2]):
+            out[sl] = (f @ v[sl].reshape(len(f), -1, 1)).ravel()
+        for sl, lu in zip(self.block_slices[2:], self.factors[2:]):
             out[sl] = lu.solve(v[sl])
         return out
 
@@ -213,10 +237,6 @@ class FixedPointMap:
         return out
 
 
-def fixed_point_apply(state: GlobalState, U: np.ndarray, inner: str = "direct"):
-    return FixedPointMap(state, inner=inner)(U)
-
-
 # -- line search --------------------------------------------------------
 
 
@@ -227,7 +247,8 @@ def cubic_line_search(merit, lambda_init: float = 1.0, lambda_min: float = 1e-4,
     Accepts the first lam with merit(lam) <= merit(0) * (1 - 2*alpha*lam)
     (sufficient decrease for a squared-residual merit along a solver step,
     whose directional derivative at 0 is modeled as -2*merit(0)).  Steps are
-    safeguarded to [0.1, 0.5] of the previous lam; gives up at lambda_min.
+    safeguarded to [0.1, 0.5] of the previous lam, and a non-finite merit
+    halves it; gives up at lambda_min.
     """
     m0 = merit(0.0)
     slope = -2.0 * m0
@@ -257,6 +278,8 @@ def cubic_line_search(merit, lambda_init: float = 1.0, lambda_min: float = 1e-4,
         else:
             disc = bq * bq - 3.0 * a * slope
             lam_new = (-bq + np.sqrt(max(disc, 0.0))) / (3.0 * a)
+        if not np.isfinite(lam_new):    # a non-finite merit: plain halving
+            lam_new = 0.5 * lam
         lam_prev, m_prev = lam, m_lam
         lam = float(np.clip(lam_new, 0.1 * lam_prev, 0.5 * lam_prev))
         lam = max(lam, lambda_min)
@@ -293,15 +316,20 @@ def anderson_solve(fp_map, U0: np.ndarray, params: AndersonParams | None = None)
     """Anderson-accelerated Picard iteration on U - A(U) = 0.
 
     With m = 0 and unit relaxation the iterates reduce to plain Picard.
-    Returns a SolveResult whose history holds ||R_k||_2 per iteration.
+    Returns a SolveResult whose history holds ||R_k||_2 per iteration.  A
+    non-finite residual at iteration k stops the iteration unconverged,
+    returning the iterate before it.
     """
     p = params or AndersonParams()
     U_hist: list[np.ndarray] = [np.asarray(U0, dtype=float)]
     A_hist: list[np.ndarray] = [fp_map(U_hist[0])]
     R_hist: list[np.ndarray] = [U_hist[0] - A_hist[0]]
     r0_norm = np.linalg.norm(R_hist[0])
-    stop = max(p.rtol * r0_norm, p.atol)
     history = []
+    if not np.isfinite(r0_norm):
+        return SolveResult(U_hist[0], False, 0, history,
+                           "non-finite residual at iteration 0")
+    stop = max(p.rtol * r0_norm, p.atol)
 
     U1 = (1.0 - p.lambda0) * U_hist[0] + p.lambda0 * A_hist[0]
     A1 = fp_map(U1)
@@ -311,8 +339,15 @@ def anderson_solve(fp_map, U0: np.ndarray, params: AndersonParams | None = None)
     history.append(np.linalg.norm(R_hist[0]))
 
     k = 1
-    while k < p.max_iters:
+    while True:
         rk = np.linalg.norm(R_hist[0])
+        if not np.isfinite(rk):
+            return SolveResult(U_hist[1], False, k, history,
+                               f"non-finite residual at iteration {k}")
+        if k >= p.max_iters:
+            ok = rk < stop
+            return SolveResult(U_hist[0], ok, k, history,
+                               "converged" if ok else "max_iters exceeded")
         step = np.linalg.norm(U_hist[0] - U_hist[1])
         if rk < stop or step < p.stol * max(np.linalg.norm(U_hist[1]), 1e-300):
             return SolveResult(U_hist[0], True, k, history, "converged")
@@ -348,11 +383,6 @@ def anderson_solve(fp_map, U0: np.ndarray, params: AndersonParams | None = None)
         k += 1
         history.append(np.linalg.norm(R_hist[0]))
 
-    rk = np.linalg.norm(R_hist[0])
-    ok = rk < stop
-    return SolveResult(U_hist[0], ok, k, history,
-                       "converged" if ok else "max_iters exceeded")
-
 
 def solve_nonlinear(state: GlobalState, params: AndersonParams | None = None,
                     inner: str = "direct", U0: np.ndarray | None = None):
@@ -363,59 +393,3 @@ def solve_nonlinear(state: GlobalState, params: AndersonParams | None = None,
     else:
         U0 = state.apply_boundary(U0)
     return anderson_solve(fp, U0, params)
-
-
-# -- optional Jacobian-free Newton-Krylov -------------------------------
-
-
-def jfnk_solve(state: GlobalState, U0: np.ndarray | None = None,
-               rtol: float = 1e-8, atol: float = 1e-10, max_newton: int = 30,
-               krylov: KrylovParams | None = None):
-    """Newton iteration on F(U) = J^T G^{-1} r(U) with a finite-difference
-    Jacobian action, preconditioned by the block Jacobi of J^T G^{-1} J.
-
-    Known limitation (inherited from the exact-Jacobian structure whose
-    Hessian term is dropped from the preconditioner): reliable only for
-    weak nonlinearity; returns a non-converged status otherwise.
-    """
-    krylov = krylov or KrylovParams(rtol=1e-6)
-    U = state.initial_guess() if U0 is None else state.apply_boundary(U0)
-    free = state.free
-
-    def F(Ufull):
-        return state.normal_gradient(Ufull)[free]
-
-    g = F(U)
-    g0 = np.linalg.norm(g)
-    stop = max(rtol * g0, atol)
-    history = [g0]
-    precond = build_block_jacobi(state)
-    for it in range(max_newton):
-        if np.linalg.norm(g) < stop:
-            return SolveResult(U, True, it, history, "converged")
-        Unorm = np.linalg.norm(U)
-
-        def jv(v):
-            nv = np.linalg.norm(v)
-            if nv == 0.0:
-                return np.zeros_like(v)
-            eps = 1e-7 * (1.0 + Unorm) / nv
-            Up = U.copy()
-            Up[free] += eps * v
-            return (F(Up) - g) / eps
-
-        op = spla.LinearOperator((free.sum(), free.sum()), matvec=jv)
-        dx, info = krylov_solve(op, -g, M=precond, params=krylov)
-        if not info["converged"]:
-            return SolveResult(U, False, it, history,
-                               f"inner GMRES failed (relres {info['relres']:.2e})")
-        U_new = U.copy()
-        U_new[free] += dx
-        g_new = F(U_new)
-        if not np.all(np.isfinite(g_new)) or np.linalg.norm(g_new) > 10.0 * np.linalg.norm(g):
-            return SolveResult(U, False, it, history, "Newton step diverged")
-        U, g = U_new, g_new
-        history.append(np.linalg.norm(g))
-    ok = np.linalg.norm(g) < stop
-    return SolveResult(U, ok, max_newton, history,
-                       "converged" if ok else "max Newton iterations")

@@ -159,6 +159,16 @@ class TestAmrLoop:
         sizes = [s.n_elements for s in report.steps]
         assert all(sizes[i + 1] > sizes[i] for i in range(len(sizes) - 1))
 
+    def test_steps_record_solve_convergence(self):
+        prob = get_problem("rect-amr")
+        mesh = build_builtin_mesh(prob.boundary, (4, 4))
+        _, _, ok = amr_loop(prob, mesh, k=1, params=AmrParams(max_iters=2))
+        assert [s.converged for s in ok.steps] == [True, True]
+        _, _, capped = amr_loop(prob, mesh, k=1, params=AmrParams(max_iters=2),
+                                anderson=AndersonParams(max_iters=1))
+        assert [s.converged for s in capped.steps] == [False, False]
+        assert [s.nonlinear_iters for s in capped.steps] == [1, 1]
+
     def test_builds_one_state_per_solve(self, monkeypatch):
         built = []
 

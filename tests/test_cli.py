@@ -1,9 +1,13 @@
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
+import gsdpg.cli
+import gsdpg.solvers
 from gsdpg.cli import main
+from gsdpg.problems import get_problem
 
 
 def run_in(tmp_path, monkeypatch, argv):
@@ -69,6 +73,30 @@ $EndElements
         assert rc == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_stalled_inner_gmres_exits_2(self, tmp_path, monkeypatch, capsys):
+        def stalled(A, b, M=None, params=None):
+            return np.zeros_like(b), {"iterations": 5000, "relres": 0.5,
+                                      "converged": False}
+
+        monkeypatch.setattr(gsdpg.solvers, "krylov_solve", stalled)
+        rc = run_in(tmp_path, monkeypatch, [
+            "solve", "-o", "problem=rect-amr", "-o", "k=1",
+            "-o", "resolution=3,3", "-o", "inner_solver=gmres"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: inner GMRES stalled at relative residual 5.000e-01")
+        assert "Traceback" not in err
+
+    def test_non_finite_source_exits_2(self, tmp_path, monkeypatch, capsys):
+        bad = dataclasses.replace(get_problem("rect-amr"),
+                                  f_nl=lambda r, z, psi: np.nan * psi)
+        monkeypatch.setattr(gsdpg.cli, "get_problem", lambda name: bad)
+        rc = run_in(tmp_path, monkeypatch, [
+            "solve", "-o", "problem=rect-amr", "-o", "k=1",
+            "-o", "resolution=3,3"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: F_N non-finite on element ")
+
 
 class TestConvergeCommand:
     def test_writes_csv_with_orders(self, tmp_path, monkeypatch):
@@ -102,3 +130,14 @@ class TestAmrCommand:
         n0 = int(hist[1].split(",")[1])
         n1 = int(hist[2].split(",")[1])
         assert n1 > n0
+
+    def test_unconverged_step_exits_2(self, tmp_path, monkeypatch, capsys):
+        rc = run_in(tmp_path, monkeypatch, [
+            "amr", "-o", "problem=rect-amr", "-o", "k=1",
+            "-o", "resolution=4,4", "-o", "max_amr_iters=2",
+            "-o", "max_nonlinear_iters=1"])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert "(not converged)" in out
+        assert "did not converge at AMR iteration(s) 0, 1" in err
+        assert (tmp_path / "gsdpg_amr_history.csv").exists()

@@ -96,7 +96,7 @@ class TestConvergenceCsv:
 
 class TestAmrHistoryCsv:
     def test_format(self):
-        steps = [AmrStep(0, 100, 1.5e-2, 12, 7), AmrStep(1, 140, 9.0e-3, 8, 3)]
+        steps = [AmrStep(0, 100, 1.5e-2, 12, 7, True), AmrStep(1, 140, 9.0e-3, 8, 3, True)]
         lines = amr_history_csv(steps).strip().split("\n")
         assert lines[0] == "iteration,n_elements,energy_residual,n_marked,nonlinear_iters"
         f0 = lines[1].split(",")

@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from gsdpg.mesh import build_builtin_mesh, rectangle_curve
 from gsdpg.problems import get_problem
 from gsdpg.solvers import (
     AndersonParams,
+    BlockJacobiPreconditioner,
     FixedPointMap,
     KrylovParams,
     anderson_solve,
     build_block_jacobi,
     cubic_line_search,
-    jfnk_solve,
     krylov_solve,
     solve_nonlinear,
 )
@@ -64,6 +64,97 @@ class TestKrylov:
         assert np.abs(A @ x - b).max() < 1e-6
 
 
+def reference_gmres(A, b, M, restart, rtol, max_iters):
+    """Textbook restarted right-preconditioned GMRES: modified Gram-Schmidt
+    and Givens rotations one scalar at a time (Saad, *Iterative Methods for
+    Sparse Linear Systems*, 2nd ed., §6.5 and §9.4)."""
+    n = len(b)
+    bnorm = np.linalg.norm(b)
+    tol = rtol * bnorm
+    x = np.zeros(n)
+    total = 0
+    m = restart
+    while total < max_iters:
+        r = b - A @ x
+        beta = np.linalg.norm(r)
+        if beta <= tol:
+            break
+        V = np.zeros((m + 1, n))
+        Z = np.zeros((m, n))
+        H = np.zeros((m + 1, m))
+        V[0] = r / beta
+        g = np.zeros(m + 1)
+        g[0] = beta
+        cs = np.zeros(m)
+        sn = np.zeros(m)
+        j = 0
+        while j < m and total < max_iters:
+            Z[j] = M(V[j])
+            w = A @ Z[j]
+            for i in range(j + 1):
+                H[i, j] = w @ V[i]
+                w -= H[i, j] * V[i]
+            H[j + 1, j] = np.linalg.norm(w)
+            V[j + 1] = w / H[j + 1, j]
+            for i in range(j):
+                t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
+                H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
+                H[i, j] = t
+            d = np.hypot(H[j, j], H[j + 1, j])
+            cs[j], sn[j] = H[j, j] / d, H[j + 1, j] / d
+            H[j, j] = d
+            g[j + 1] = -sn[j] * g[j]
+            g[j] = cs[j] * g[j]
+            total += 1
+            j += 1
+            if abs(g[j]) <= tol:
+                break
+        y = np.linalg.solve(np.triu(H[:j, :j]), g[:j])
+        x = x + y @ Z[:j]
+    return x, total
+
+
+class TestKrylovMatchesReference:
+    """The array GMRES (CGS2, rotation-matrix QR) against the scalar loop."""
+
+    @staticmethod
+    def system(n=80, seed=7):
+        rng = np.random.default_rng(seed)
+        A = (np.diag(np.linspace(1.0, 20.0, n))
+             + rng.standard_normal((n, n)) * 4.0 / np.sqrt(n))
+        # nonsymmetric preconditioner: forward substitution with a perturbed
+        # lower triangle of A
+        L = np.tril(A) + np.tril(rng.standard_normal((n, n)) * 2.0 / np.sqrt(n), -1)
+        M = lambda v: np.linalg.solve(L, v)
+        return A, rng.standard_normal(n), M
+
+    @pytest.mark.parametrize("restart", [5, 200])
+    def test_iterations_and_solution_match(self, restart):
+        A, b, M = self.system()
+        params = KrylovParams(restart=restart, rtol=1e-10, max_iters=2000)
+        x, info = krylov_solve(A, b, M=M, params=params)
+        x_ref, n_ref = reference_gmres(A, b, M, restart, params.rtol, params.max_iters)
+        assert info["converged"]
+        assert n_ref > 10                   # several cycles at restart=5
+        assert info["iterations"] == n_ref
+        assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+
+    @pytest.mark.parametrize("restart", [1, 10])
+    def test_eigenvector_rhs_breaks_down_after_one_step(self, restart):
+        rng = np.random.default_rng(3)
+        n = 30
+        A = np.triu(rng.standard_normal((n, n))) + 5.0 * np.eye(n)
+        b = np.zeros(n)
+        b[0] = 2.0                      # A e_0 = A[0, 0] e_0 exactly
+        with np.errstate(all="raise"):  # no division by the zero subdiagonal
+            x, info = krylov_solve(A, b, params=KrylovParams(restart=restart,
+                                                             rtol=1e-12))
+        assert info["converged"]
+        assert info["iterations"] == 1
+        assert np.all(np.isfinite(x))
+        assert np.abs(A @ x - b).max() < 1e-14
+
+
 class TestBlockJacobi:
     def test_blocks_are_spd_and_apply_matches(self):
         st = small_state()
@@ -78,6 +169,33 @@ class TestBlockJacobi:
         out = P(v)
         for sl, blk in zip(P.block_slices, P.blocks):
             assert np.abs(blk @ out[sl] - v[sl]).max() < 1e-8
+
+    def test_batched_apply_matches_sparse_block_solves(self):
+        st = small_state("rect-amr", (3, 3), k=2)
+        assert not st.free.all()            # boundary DOFs are eliminated
+        P = build_block_jacobi(st)
+        rng = np.random.default_rng(6)
+        v = rng.standard_normal(P.n)
+        out = P(v)
+        for sl, blk in zip(P.block_slices, P.blocks):
+            ref = spla.spsolve(blk.tocsc(), v[sl])
+            assert np.linalg.norm(out[sl] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_constrained_interior_dof_rejected(self):
+        st = small_state()
+        free = st.free.copy()
+        free[st.trial.offset_psi] = False
+        with pytest.raises(ValueError, match="interior DOF"):
+            BlockJacobiPreconditioner(st, free)
+
+    def test_singular_interior_block_named(self, monkeypatch):
+        st = small_state()
+        st.normal_matrix_static()
+        A_el = st.element_static_blocks().copy()
+        A_el[4, :2 * st.trial.nk] = 0.0         # one element's Q rows vanish
+        monkeypatch.setattr(st, "element_static_blocks", lambda: A_el)
+        with pytest.raises(RuntimeError, match="factorization of block P11 failed"):
+            build_block_jacobi(st)
 
     def test_preconditioning_reduces_gmres_iterations(self):
         st = small_state("solovev-iter", (6, 2), k=1)
@@ -160,6 +278,27 @@ class TestAndersonScalarMap:
         assert len(res.history) == res.iterations
         assert res.history[-1] < res.history[0]
 
+    @pytest.mark.parametrize("line_search", [False, True])
+    @pytest.mark.parametrize("bad_eval", [0, 1, 4])
+    def test_non_finite_residual_stops(self, bad_eval, line_search):
+        """The map returns NaN from evaluation ``bad_eval`` on."""
+        calls = []
+
+        def fp(x):
+            calls.append(1)
+            return np.full_like(x, np.nan) if len(calls) > bad_eval else np.cos(x)
+
+        params = AndersonParams(m=2, rtol=1e-14, atol=0.0, max_iters=50,
+                                line_search=line_search)
+        res = anderson_solve(fp, np.array([1.0, 0.5]), params)
+        assert not res.converged
+        assert res.message == f"non-finite residual at iteration {res.iterations}"
+        assert np.all(np.isfinite(res.U))
+        assert np.all(np.isfinite(res.history[:-1]))
+        if not line_search:             # one evaluation per iteration
+            assert res.iterations == bad_eval
+        assert len(calls) < 20
+
     def test_stagnation_stop(self):
         # constant map: second iterate equals the first, stagnation triggers
         params = AndersonParams(m=2, rtol=1e-30, atol=0.0, stol=1e-12,
@@ -204,20 +343,3 @@ class TestFixedPointOnProblems:
         st = small_state()
         with pytest.raises(ValueError, match="inner solver"):
             FixedPointMap(st, inner="amg")
-
-
-class TestJfnk:
-    def test_converges_on_linear_problem(self):
-        st = small_state("solovev-iter", (6, 2), k=1)
-        res = jfnk_solve(st, rtol=1e-8)
-        assert res.converged
-        assert res.iterations <= 5
-
-    def test_reports_failure_gracefully_when_stalled(self):
-        st = small_state("rect-amr", (3, 3), k=1)
-        res = jfnk_solve(st, rtol=1e-12, max_newton=2,
-                         krylov=KrylovParams(rtol=1e-2, max_iters=5))
-        # either it got lucky or it reports a clean non-converged status
-        if not res.converged:
-            assert res.message
-            assert np.all(np.isfinite(res.U))

@@ -48,10 +48,6 @@ class ProblemSpec:
     exact_q: Optional[Callable[[float, float], tuple]] = None
     default_resolution: tuple = (16, 4)
 
-    @property
-    def is_linear(self) -> bool:
-        return self.name.startswith("solovev")
-
 
 def solovev_coefficients(eps: float, kappa: float, delta: float) -> SolovevCoeffs:
     """Solve the 3x3 system pinning the plasma cross-section shape.

@@ -3,12 +3,14 @@
 The nonlinear path is a Picard iteration on the fixed-point map
 A(U) = (J^T G^{-1} B_L)^{-1} [J^T G^{-1} (B_N(U) + F_L)], accelerated with
 Anderson mixing and a cubic backtracking line search.  The inner linear
-solve uses either a sparse direct factorization or flexible GMRES with a
-four-block Jacobi preconditioner.  GMRES orthogonalizes with classical
-Gram-Schmidt plus one reorthogonalization (CGS2) over the stacked basis and
-keeps the Hessenberg QR as a small rotation matrix; the preconditioner's
+solve is either the condensed direct solve of ``GlobalState`` or flexible
+GMRES (``gsdpg.krylov``) with a four-block Jacobi preconditioner, whose
 interior blocks are per-element inverses applied as one batched product.
-An outer iteration that meets a non-finite residual stops and says so.
+With the direct solve, the map owns a per-solve cache that keeps the
+trace-system pattern and the LU of its first system, so later evaluations
+solve by FGMRES preconditioned with that LU; ``solve_nonlinear`` empties the
+cache when it returns or raises.  An outer iteration that meets a
+non-finite residual stops and says so.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse.linalg as spla
-from scipy.linalg import solve_triangular
 
+from .krylov import KrylovParams, krylov_solve
 from .system import GlobalState
 
 
@@ -34,13 +36,6 @@ class AndersonParams:
 
 
 @dataclass
-class KrylovParams:
-    restart: int = 200
-    rtol: float = 1e-10
-    max_iters: int = 5000
-
-
-@dataclass
 class SolveResult:
     U: np.ndarray
     converged: bool
@@ -49,86 +44,7 @@ class SolveResult:
     message: str = ""
 
 
-# -- linear algebra -----------------------------------------------------
-
-_EPS = np.finfo(float).eps
-
-
-def krylov_solve(A, b, M=None, params: KrylovParams | None = None):
-    """Right-preconditioned restarted (flexible) GMRES.
-
-    ``A`` is a matrix or LinearOperator, ``M`` an optional preconditioner
-    callable/operator approximating A^{-1}.  Returns (x, info) where info
-    holds the iteration count and final relative residual.
-
-    Each step orthogonalizes against the basis with classical Gram-Schmidt
-    and one full reorthogonalization (CGS2), four matrix-vector products
-    over the stacked basis ``V``.  The Hessenberg matrix is reduced to
-    triangular form by Givens rotations accumulated in a small orthogonal
-    matrix ``Qt``, so the residual estimate of step j is beta |Qt[j+1, 0]|.
-    A happy breakdown (the new basis vector vanishes against the column)
-    ends the restart cycle.
-    """
-    params = params or KrylovParams()
-    n = b.shape[0]
-    matvec = A.dot if hasattr(A, "dot") else A
-    if M is None:
-        psolve = lambda v: v
-    elif callable(M) and not hasattr(M, "dot"):
-        psolve = M
-    else:
-        psolve = M.dot
-
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros(n), {"iterations": 0, "relres": 0.0, "converged": True}
-    tol = params.rtol * bnorm
-    x = np.zeros(n)
-    total = 0
-    m = params.restart
-    V = np.empty((m + 1, n))
-    Z = np.empty((m, n))
-    R = np.zeros((m, m))
-    while total < params.max_iters:
-        r = b - matvec(x)
-        beta = np.linalg.norm(r)
-        if beta <= tol:
-            return x, {"iterations": total, "relres": beta / bnorm, "converged": True}
-        V[0] = r / beta
-        Qt = np.eye(m + 1)
-        j = 0
-        while j < m and total < params.max_iters:
-            Z[j] = psolve(V[j])
-            w = matvec(Z[j])
-            Vj = V[:j + 1]
-            h = Vj @ w
-            w -= h @ Vj
-            h2 = Vj @ w
-            w -= h2 @ Vj
-            h += h2
-            h_next = np.linalg.norm(w)
-            # rotate the new column by the accumulated rotations, then
-            # annihilate its subdiagonal entry h_next
-            col = Qt[:j + 1, :j + 1] @ h
-            d = np.hypot(col[j], h_next)
-            c, s = col[j] / d, h_next / d
-            col[j] = d
-            R[:j + 1, j] = col
-            Qt[[j, j + 1], :j + 2] = (np.array([[c, s], [-s, c]])
-                                      @ Qt[[j, j + 1], :j + 2])
-            total += 1
-            j += 1
-            if h_next <= _EPS * np.linalg.norm(h):
-                break                   # happy breakdown: span(V) is invariant
-            V[j] = w / h_next
-            if beta * abs(Qt[j, 0]) <= tol:
-                break
-        y = solve_triangular(R[:j, :j], beta * Qt[:j, 0], check_finite=False)
-        x = x + y @ Z[:j]
-    r = b - matvec(x)
-    relres = np.linalg.norm(r) / bnorm
-    return x, {"iterations": total, "relres": relres,
-               "converged": relres <= params.rtol}
+# -- block-Jacobi preconditioner --------------------------------------
 
 
 class BlockJacobiPreconditioner:
@@ -195,7 +111,11 @@ def build_block_jacobi(state: GlobalState, constrained: bool = True):
 
 
 class FixedPointMap:
-    """A(U): one linearized normal-equation solve at the current iterate."""
+    """A(U): one linearized normal-equation solve at the current iterate.
+
+    ``trace_cache`` is the direct solve's per-solve cache (see
+    ``GlobalState.solve_linearized``); ``solve_nonlinear`` empties it.
+    """
 
     def __init__(self, state: GlobalState, inner: str = "direct",
                  krylov: KrylovParams | None = None):
@@ -206,18 +126,19 @@ class FixedPointMap:
         self.krylov = krylov or KrylovParams()
         self._precond = None
         self._linear_result = None
+        self.trace_cache = {}
         self.inner_iterations = []
 
     def __call__(self, U: np.ndarray) -> np.ndarray:
         st = self.state
         N, D = st.sources(U)
         # when F_N vanishes identically, the map is constant: cache its value
-        linear = not N.any() and not any(np.any(d) for d in D)
+        linear = not N.any() and not D.any()
         if linear and self._linear_result is not None:
             self.inner_iterations.append(0)
             return self._linear_result.copy()
         if self.inner == "direct":
-            out = st.solve_linearized(N, D)
+            out = st.solve_linearized(N, D, cache=self.trace_cache)
             self.inner_iterations.append(0)
         else:
             A = st.normal_matrix(D=D)
@@ -386,10 +307,17 @@ def anderson_solve(fp_map, U0: np.ndarray, params: AndersonParams | None = None)
 
 def solve_nonlinear(state: GlobalState, params: AndersonParams | None = None,
                     inner: str = "direct", U0: np.ndarray | None = None):
-    """Anderson-accelerated solve of the full system on a GlobalState."""
+    """Anderson-accelerated solve of the full system on a GlobalState.
+
+    The map's trace-system cache (pattern and LU) lives only for this
+    solve: it is emptied on return and on error.
+    """
     fp = FixedPointMap(state, inner=inner)
     if U0 is None:
         U0 = state.initial_guess()
     else:
         U0 = state.apply_boundary(U0)
-    return anderson_solve(fp, U0, params)
+    try:
+        return anderson_solve(fp, U0, params)
+    finally:
+        fp.trace_cache.clear()

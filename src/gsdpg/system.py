@@ -8,9 +8,19 @@ estimator.  Every Gram inverse enters through the Cholesky factors
 G_K = L_K L_K^T as W_K = L_K^{-1} B_K and Z_K = L_K^{-1} E_tau, E_tau the
 injection of tau moments into the test rows, so all element products are
 stacked ``(T, ...)`` array operations.
+
+The direct linearized solve condenses the interior fields element by
+element and solves the skeleton (trace) system.  Within one nonlinear solve
+it builds the trace system's sparse pattern once and factors it once: later
+linearizations fill the same pattern and solve by flexible GMRES
+right-preconditioned with the first LU, refactoring only when GMRES misses a
+small iteration cap.  That pattern and LU live in a cache the caller owns
+and frees, never on the state.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -18,8 +28,29 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import solve_triangular
 
 from .assembly import STANDARD, ElementCache
+from .krylov import KrylovParams, krylov_solve
 from .problems import ProblemSpec
 from .spaces import TestSpace, TrialSpace, interpolate_boundary
+
+# lagged trace solve: a few FGMRES steps preconditioned with an earlier LU
+# reach the direct solve's accuracy; past the cap the LU is renewed
+_LAGGED_GMRES = KrylovParams(restart=20, rtol=1e-12, max_iters=20)
+
+
+@dataclass(frozen=True)
+class _TracePattern:
+    """CSC pattern of the free-free trace system of one mesh, indexed by the
+    flattened element Schur-block entries: ``slot`` gives each entry's data
+    position (``len(indices)`` for entries that touch a boundary DOF), and
+    the ``coupling`` entries (free row, boundary column), with their free
+    row and boundary value, shift the right-hand side."""
+
+    slot: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    coupling: np.ndarray
+    coupling_rows: np.ndarray
+    coupling_g: np.ndarray
 
 
 class GlobalState:
@@ -135,16 +166,6 @@ class GlobalState:
         """Riesz representative of the element residual: G_K^{-1} r_K."""
         return self.cache.gram_solve(t, r_K)
 
-    def normal_gradient(self, U: np.ndarray, N=None, D=None) -> np.ndarray:
-        """g = J^T(U) G^{-1} r(U) on the full trial layout."""
-        if N is None or D is None:
-            N, D = self.sources(U)
-        y = self._whitened_residual(U, N)
-        loc = np.einsum("tic,ti->tc", self.W, y)
-        y_tau = np.einsum("tji,tj->ti", self.Z, y[:, self._tau])
-        loc[:, self._c_psi] -= np.einsum("tji,tj->ti", D, y_tau)
-        return self._scatter(loc)
-
     # -- normal operator -----------------------------------------------
 
     def element_static_blocks(self) -> np.ndarray:
@@ -204,61 +225,101 @@ class GlobalState:
             N, D = self.sources(U)
         return self._scatter(self._element_rhs(N, D))
 
-    def solve_linearized(self, N, D) -> np.ndarray:
-        """Direct solve of A x = b by local elimination of interior fields.
+    def _trace_pattern(self) -> _TracePattern:
+        """Pattern of the free trace system, from the element Schur blocks."""
+        off = self.trial.offset_qhat
+        n_t = self.n_total - off
+        c_t = self.cache.cols[:, 3 * self.trial.nk:] - off   # (T, ntr_local)
+        m = c_t.shape[1]
+        rows = np.repeat(c_t, m, axis=1).ravel()
+        cols = np.tile(c_t, (1, m)).ravel()
+        free_t = self.free[off:]
+        n_f = int(free_t.sum())
+        fidx = np.cumsum(free_t) - 1                  # free index of a trace DOF
+        ff = free_t[rows] & free_t[cols]
+        # column-major keys of the free-free entries, sorted and deduplicated
+        # in CSC order; every other entry goes to a spill slot past the end
+        key = np.where(ff, fidx[cols] * n_f + fidx[rows], n_f * n_f)
+        keys = np.sort(key[ff])
+        keys = keys[np.diff(keys, prepend=-1) > 0]
+        slot = np.searchsorted(keys, key)
+        g = np.zeros(n_t)
+        g[self.bdata.dofs - off] = self.bdata.values
+        coupling = np.nonzero(free_t[rows] & ~free_t[cols])[0]
+        return _TracePattern(
+            slot=slot,
+            indices=(keys % n_f).astype(np.int32),
+            indptr=np.searchsorted(keys, np.arange(n_f + 1) * n_f).astype(np.int32),
+            coupling=coupling,
+            coupling_rows=fidx[rows[coupling]],
+            coupling_g=g[cols[coupling]],
+        )
+
+    def solve_linearized(self, N, D, cache: dict | None = None) -> np.ndarray:
+        """Solve A x = b by local elimination of interior fields.
 
         The interior (q, psi) columns couple only within their own element,
-        so they are condensed out and only the skeleton system (normal traces
-        plus psihat) is factorized globally.  Returns the full trial vector
-        with boundary values applied.
+        so they are condensed out and only the skeleton system S (normal
+        traces plus psihat) is solved globally.  Returns the full trial
+        vector with boundary values applied.
+
+        ``cache`` (a dict owned by the caller, for one GlobalState) carries
+        work from one call to the next.  The first call stores the CSC
+        pattern of S with the scatter maps that fill it and give its
+        boundary-shifted right-hand side, and the sparse LU of S.  Later
+        calls fill S with one ``bincount`` and solve it by flexible GMRES
+        right-preconditioned with that LU, to a relative residual of
+        ``_LAGGED_GMRES.rtol``; if GMRES misses its iteration cap, S is
+        refactored and solved directly, and the new LU is kept.  The caller
+        empties the cache to free the LU.  Without a cache, every call
+        factors afresh.
         """
-        tr = self.trial
-        nk3 = 3 * tr.nk
-        off = tr.offset_qhat
-        n_tr = self.n_total - off
+        cache = {} if cache is None else cache
+        if "pattern" not in cache:
+            cache["pattern"] = self._trace_pattern()
+        p = cache["pattern"]
+        nk3 = 3 * self.trial.nk
+        off = self.trial.offset_qhat
         A = self.element_static_blocks()
 
         b = self._element_rhs(N, D)                    # (T, ncols)
-        if np.any(D):
-            A = A.copy()
-            A[:, self._c_psi, :] -= np.swapaxes(D, 1, 2) @ np.swapaxes(self.P_tau, 1, 2)
+        A_i = A[:, :nk3]                               # interior rows
+        if D.any():                                    # D_N enters the psi rows only
+            A_i = A_i.copy()
+            A_i[:, self._c_psi] -= np.swapaxes(D, 1, 2) @ np.swapaxes(self.P_tau, 1, 2)
 
-        A_ii = A[:, :nk3, :nk3]
-        A_it = A[:, :nk3, nk3:]
         A_ti = A[:, nk3:, :nk3]
-        sol = np.linalg.solve(A_ii, np.concatenate([A_it, b[:, :nk3, None]], axis=2))
+        sol = np.linalg.solve(A_i[:, :, :nk3],
+                              np.concatenate([A_i[:, :, nk3:], b[:, :nk3, None]], axis=2))
         X, y_i = sol[:, :, :-1], sol[:, :, -1]
-        S_el = A[:, nk3:, nk3:] - A_ti @ X             # (T, ntr, ntr)
+        S_el = (A[:, nk3:, nk3:] - A_ti @ X).ravel()  # (T, ntr, ntr) flattened
         r_el = b[:, nk3:] - np.einsum("tij,tj->ti", A_ti, y_i)
 
-        c_t = self.cache.cols[:, nk3:] - off           # (T, ntr_local)
-        m = c_t.shape[1]
-        S = sp.coo_matrix(
-            (S_el.ravel(),
-             (np.repeat(c_t, m, axis=1).ravel(), np.tile(c_t, (1, m)).ravel())),
-            shape=(n_tr, n_tr),
-        ).tocsr()
-        rhs = np.zeros(n_tr)
-        np.add.at(rhs, c_t.ravel(), r_el.ravel())
-
+        n_f = len(p.indptr) - 1
+        S = sp.csc_matrix((np.bincount(p.slot, S_el)[:len(p.indices)], p.indices, p.indptr),
+                          shape=(n_f, n_f))
         free_t = self.free[off:]
-        g = np.zeros(n_tr)
-        g[self.bdata.dofs - off] = self.bdata.values
-        b_f = (rhs - S @ g)[free_t]
-        x_t = g.copy()
-        # the trace system is symmetric up to the D_N correction; SuperLU's
-        # symmetric mode keeps the fill-in of the factorization moderate
-        lu = spla.splu(S[free_t][:, free_t].tocsc(), permc_spec="MMD_AT_PLUS_A",
-                       options=dict(SymmetricMode=True, DiagPivotThresh=0.01))
-        x_t[free_t] = lu.solve(b_f)
+        rhs = np.bincount((self.cache.cols[:, nk3:] - off).ravel(), r_el.ravel(),
+                          minlength=len(free_t))
+        b_f = rhs[free_t] - np.bincount(p.coupling_rows, S_el[p.coupling] * p.coupling_g,
+                                        minlength=n_f)
 
-        U = np.zeros(self.n_total)
-        U[off:] = x_t
+        x_f = None
+        if "lu" in cache:
+            x, info = krylov_solve(S, b_f, M=cache["lu"].solve, params=_LAGGED_GMRES)
+            if info["converged"]:
+                x_f = x
+        if x_f is None:
+            # the trace system is symmetric up to the D_N correction;
+            # SuperLU's symmetric mode keeps the fill-in moderate
+            cache["lu"] = spla.splu(S, permc_spec="MMD_AT_PLUS_A",
+                                    options=dict(SymmetricMode=True, DiagPivotThresh=0.01))
+            x_f = cache["lu"].solve(b_f)
+
+        U = self.initial_guess()
+        U[off:][free_t] = x_f
         v = U[self.cache.cols[:, nk3:]]                # (T, ntr_local)
-        x_i = np.linalg.solve(
-            A_ii, (b[:, :nk3] - np.einsum("tij,tj->ti", A_it, v))[:, :, None]
-        )[:, :, 0]
-        U[self.cache.cols[:, :nk3]] = x_i
+        U[self.cache.cols[:, :nk3]] = y_i - np.einsum("tij,tj->ti", X, v)
         return U
 
     # -- boundary elimination ------------------------------------------
@@ -288,18 +349,3 @@ class GlobalState:
         vals, _ = self.trial.q_basis.eval(ref_points)
         return vals @ self.q_coeffs(U, t).T
 
-
-def residual_vector(state: GlobalState, U: np.ndarray) -> np.ndarray:
-    return state.residual_vector(U)
-
-
-def assemble_normal_operator(state: GlobalState, U=None, include_DN=True):
-    return state.normal_matrix(U, include_DN=include_DN)
-
-
-def energy_residual(state: GlobalState, U: np.ndarray):
-    return state.energy_residual(U)
-
-
-def riesz_element(state: GlobalState, t: int, r_K: np.ndarray) -> np.ndarray:
-    return state.riesz_element(t, r_K)

@@ -24,7 +24,7 @@ from gsdpg.solvers import (
     krylov_solve,
     solve_nonlinear,
 )
-from gsdpg.system import GlobalState, residual_vector
+from gsdpg.system import GlobalState
 
 
 # --------------------------------------------------------------------------
@@ -266,8 +266,8 @@ def test_residual_jacobian_matches_fd(name, res, k):
     V = rng.standard_normal(st.n_total)
     V[st.bdata.dofs] = 0.0
     eps = 1e-7
-    rp = residual_vector(st, st.apply_boundary(U + eps * V))
-    rm = residual_vector(st, st.apply_boundary(U - eps * V))
+    rp = st.residual_vector(st.apply_boundary(U + eps * V))
+    rm = st.residual_vector(st.apply_boundary(U - eps * V))
     fd = (rp - rm) / (2 * eps)
     _, D = st.sources(U)
     n = st.test.nks
@@ -289,7 +289,7 @@ def test_estimator_identity_and_per_element_consistency():
     st = GlobalState(build_builtin_mesh(prob.boundary, (4, 4)), prob, k=2)
     U = random_iterate(st, seed=9)
     total, ind = st.energy_residual(U)
-    r = residual_vector(st, U)
+    r = st.residual_vector(U)
     G = global_gram(st)
     want = float(r @ spla.spsolve(G, r))
     assert abs(total**2 - want) <= 1e-12 * want

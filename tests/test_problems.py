@@ -78,11 +78,6 @@ class TestSolovevProblem:
         vals = np.array([prob.exact_psi(p[0], p[1]) for p in pts])
         assert np.abs(vals).max() < 1e-12
 
-    def test_is_linear(self):
-        assert solovev_problem("iter").is_linear
-        assert solovev_problem("nstx").is_linear
-        assert not manufactured_problem().is_linear
-
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             solovev_problem("sparc")

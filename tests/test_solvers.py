@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+import gsdpg.system
+from gsdpg.assembly import SourceEvaluationError
 from gsdpg.mesh import build_builtin_mesh, rectangle_curve
 from gsdpg.problems import get_problem
 from gsdpg.solvers import (
@@ -343,3 +347,66 @@ class TestFixedPointOnProblems:
         st = small_state()
         with pytest.raises(ValueError, match="inner solver"):
             FixedPointMap(st, inner="amg")
+
+
+class TestTraceCacheLifetime:
+    """The direct map factors the trace system once per nonlinear solve and
+    holds the factor only while the solve runs."""
+
+    @staticmethod
+    def record(monkeypatch):
+        """Maps created, splu calls and solve_linearized calls."""
+        seen = {"maps": [], "splu": 0, "solves": 0}
+        init, splu = FixedPointMap.__init__, gsdpg.system.spla.splu
+        solve = GlobalState.solve_linearized
+
+        def map_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            seen["maps"].append(self)
+
+        def counting_splu(*args, **kwargs):
+            seen["splu"] += 1
+            return splu(*args, **kwargs)
+
+        def counting_solve(self, *args, **kwargs):
+            seen["solves"] += 1
+            return solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(FixedPointMap, "__init__", map_init)
+        monkeypatch.setattr(gsdpg.system.spla, "splu", counting_splu)
+        monkeypatch.setattr(GlobalState, "solve_linearized", counting_solve)
+        return seen
+
+    def test_one_factorization_per_solve(self, monkeypatch):
+        st = small_state("manufactured", (4, 2), k=2)
+        seen = self.record(monkeypatch)
+        res = solve_nonlinear(st)
+        assert res.converged and res.iterations > 1
+        assert seen["splu"] == 1
+        assert seen["maps"][0].trace_cache == {}
+        # one-shot path: every evaluation factors afresh
+        solve = GlobalState.solve_linearized
+        monkeypatch.setattr(GlobalState, "solve_linearized",
+                            lambda self, N, D, cache=None: solve(self, N, D))
+        one_shot = solve_nonlinear(st)
+        evals = len(seen["maps"][0].inner_iterations)
+        assert one_shot.iterations == res.iterations
+        assert len(seen["maps"][1].inner_iterations) == evals
+        assert seen["splu"] == 1 + evals
+        assert np.abs(res.U - one_shot.U).max() < 1e-8 * np.abs(one_shot.U).max()
+
+    def test_cache_released_when_solve_raises(self, monkeypatch):
+        calls, base = [], get_problem("manufactured")
+
+        def f_nl(r, z, psi):
+            calls.append(1)
+            return np.nan * psi if len(calls) > 3 else base.f_nl(r, z, psi)
+
+        prob = dataclasses.replace(base, f_nl=f_nl)
+        st = GlobalState(build_builtin_mesh(prob.boundary, (4, 2)), prob, k=2)
+        seen = self.record(monkeypatch)
+        with pytest.raises(SourceEvaluationError, match="F_N non-finite"):
+            solve_nonlinear(st)
+        assert seen["splu"] == 1 and seen["solves"] > 1
+        assert seen["maps"][0].trace_cache == {}
+

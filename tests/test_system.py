@@ -3,16 +3,12 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import gsdpg.system
 from gsdpg.assembly import SourceEvaluationError
 from gsdpg.basis import default_volume_degree, triangle_rule
 from gsdpg.mesh import build_builtin_mesh, rectangle_curve
 from gsdpg.problems import get_problem
-from gsdpg.system import (
-    GlobalState,
-    assemble_normal_operator,
-    energy_residual,
-    residual_vector,
-)
+from gsdpg.system import GlobalState
 
 
 @pytest.fixture(scope="module")
@@ -44,15 +40,15 @@ class TestResidualAndEnergy:
         """E_total^2 equals r^T G^{-1} r with the block-diagonal Gram
         assembled and solved globally (independent route)."""
         U = random_iterate(nl_state, seed=1)
-        r = residual_vector(nl_state, U)
+        r = nl_state.residual_vector(U)
         G = global_gram(nl_state)
         want = float(r @ spla.spsolve(G, r))
-        total, per_el = energy_residual(nl_state, U)
+        total, per_el = nl_state.energy_residual(U)
         assert total**2 == pytest.approx(want, rel=1e-11)
         assert np.sum(per_el**2) == pytest.approx(total**2, rel=1e-13)
 
     def test_indicators_are_nonnegative(self, nl_state):
-        _, per_el = energy_residual(nl_state, random_iterate(nl_state, 2))
+        _, per_el = nl_state.energy_residual(random_iterate(nl_state, 2))
         assert np.all(per_el >= 0)
 
     def test_riesz_representative_solves_gram_system(self, nl_state):
@@ -110,7 +106,7 @@ class TestNormalOperator:
         prob = get_problem("solovev-iter")
         mesh = build_builtin_mesh(prob.boundary, (6, 2))
         st = GlobalState(mesh, prob, k=k)
-        A = assemble_normal_operator(st, include_DN=False)
+        A = st.normal_matrix(include_DN=False)
         A_ff, _ = st.constrain(A, np.zeros(st.n_total))
         dense = A_ff.toarray()
         assert np.abs(dense - dense.T).max() < 1e-11 * np.abs(dense).max()
@@ -126,8 +122,8 @@ class TestNormalOperator:
         V = rng.standard_normal(st.n_total)
         V[st.bdata.dofs] = 0.0
         eps = 1e-7
-        rp = residual_vector(st, st.apply_boundary(U + eps * V))
-        rm = residual_vector(st, st.apply_boundary(U - eps * V))
+        rp = st.residual_vector(st.apply_boundary(U + eps * V))
+        rm = st.residual_vector(st.apply_boundary(U - eps * V))
         fd = (rp - rm) / (2 * eps)
         _, D = st.sources(U)
         want = np.zeros_like(fd)
@@ -139,26 +135,6 @@ class TestNormalOperator:
             jv[st._tau] -= D[t] @ V[st.trial.psi_dofs(t)]
             want[3 * n * t: 3 * n * (t + 1)] = jv
         assert np.abs(fd - want).max() < 1e-6
-
-    def test_normal_gradient_is_operator_transpose_route(self, nl_state):
-        st = nl_state
-        U = random_iterate(st, seed=8)
-        g = st.normal_gradient(U)
-        # independent route: dense J^T G^{-1} r via global matrices
-        N, D = st.sources(U)
-        r = st.residual_vector(U)
-        G = global_gram(st)
-        y = spla.spsolve(G, r)
-        want = np.zeros(st.n_total)
-        n = st.test.nks
-        nk = st.trial.nk
-        c_psi = slice(2 * nk, 3 * nk)
-        for t in range(st.mesh.n_triangles):
-            yt = y[3 * n * t: 3 * n * (t + 1)]
-            loc = st.cache.B[t].T @ yt
-            loc[c_psi] -= D[t].T @ yt[st._tau]
-            np.add.at(want, st.cache.cols[t], loc)
-        assert np.abs(g - want).max() < 1e-9 * max(1.0, np.abs(want).max())
 
 
 class TestCondensedSolve:
@@ -178,6 +154,52 @@ class TestCondensedSolve:
         N, D = st.sources(st.initial_guess())
         x = st.solve_linearized(N, D)
         assert np.abs(x[st.bdata.dofs] - st.bdata.values).max() == 0.0
+
+
+class TestLaggedTraceSolve:
+    """A cache shared by successive solve_linearized calls keeps the first
+    LU as the preconditioner of the later systems."""
+
+    @staticmethod
+    def count_splu(monkeypatch):
+        calls = []
+        splu = gsdpg.system.spla.splu
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(gsdpg.system.spla, "splu", counting)
+        return calls
+
+    @staticmethod
+    def iterates(st):
+        U = random_iterate(st, seed=9, scale=0.05)
+        return [st.sources(U), st.sources(st.apply_boundary(1.02 * U))]
+
+    def test_cached_solves_match_fresh_solves(self, nl_state, monkeypatch):
+        st = nl_state
+        fresh = [st.solve_linearized(N, D) for N, D in self.iterates(st)]
+        splu = self.count_splu(monkeypatch)
+        cache = {}
+        for (N, D), want in zip(self.iterates(st), fresh):
+            got = st.solve_linearized(N, D, cache=cache)
+            assert np.abs(got - want).max() < 1e-10 * np.abs(want).max()
+        assert len(splu) == 1
+        assert set(cache) == {"pattern", "lu"}
+
+    def test_refactors_when_gmres_misses_its_cap(self, nl_state, monkeypatch):
+        st = nl_state
+        fresh = [st.solve_linearized(N, D) for N, D in self.iterates(st)]
+        splu = self.count_splu(monkeypatch)
+        monkeypatch.setattr(gsdpg.system, "krylov_solve", lambda A, b, M, params: (
+            np.zeros_like(b), {"iterations": params.max_iters, "relres": 0.5,
+                               "converged": False}))
+        cache = {}
+        for (N, D), want in zip(self.iterates(st), fresh):
+            got = st.solve_linearized(N, D, cache=cache)
+            assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+        assert len(splu) == 2
 
 
 class TestConstraint:

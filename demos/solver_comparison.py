@@ -44,7 +44,7 @@ print("-- inner linear solver comparison --")
 state = GlobalState(mesh, problem, k=1)
 U0 = state.initial_guess()
 N, D = state.sources(U0)
-A = state.normal_matrix(U0, D=D)
+A = state.normal_matrix(D)
 b = state.fixed_point_rhs(U0, N=N, D=D)
 A_ff, b_f = state.constrain(A, b)
 

@@ -29,7 +29,7 @@ from .solvers import (
     krylov_solve,
     solve_nonlinear,
 )
-from .spaces import TestSpace, TrialSpace, build_test_space, build_trial_space
+from .spaces import TestSpace, TrialSpace
 from .system import GlobalState
 
 __version__ = "0.1.0"
@@ -39,10 +39,9 @@ __all__ = [
     "FixedPointMap", "GlobalState", "KrylovParams", "MarkingParams", "Mesh",
     "MeshError", "MshParseError", "ProblemSpec", "SolveResult", "TestSpace",
     "TrialSpace", "amr_loop", "anderson_solve", "bisect_conforming",
-    "build_block_jacobi", "build_builtin_mesh", "build_test_space",
-    "build_trial_space", "cubic_line_search", "d_shape_curve", "estimate",
-    "get_problem", "krylov_solve", "linf_error", "mark",
-    "read_msh", "rectangle_curve", "solovev_coefficients", "solve_nonlinear",
+    "build_block_jacobi", "build_builtin_mesh", "cubic_line_search",
+    "d_shape_curve", "estimate", "get_problem", "krylov_solve", "linf_error",
+    "mark", "read_msh", "rectangle_curve", "solovev_coefficients", "solve_nonlinear",
     "transfer_solution", "uniform_refine", "EdgeNodalBasis",
     "TriangleModalBasis", "edge_rule", "triangle_rule",
 ]

@@ -14,7 +14,6 @@ for all elements with one call of each source function.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .basis import (
     default_edge_degree,
@@ -193,58 +192,38 @@ class ElementCache:
 
     # -- source moments -------------------------------------------------
 
-    def source_moments(self, psi_q: np.ndarray, problem,
-                       elements: np.ndarray | None = None):
+    def source_moments(self, psi_q: np.ndarray, problem):
         """Stacked tau moments (N, D) of F_N/r and its psi derivative.
 
-        ``psi_q`` (m, nq) holds psi at the quadrature points of ``elements``
-        (all elements by default); N is (m, n) and D is (m, n, nk).
+        ``psi_q`` (T, nq) holds psi at the quadrature points; N is (T, n)
+        and D is (T, n, nk).
         """
-        elements = np.arange(len(self.w)) if elements is None else elements
-        r, z = self.pts[elements, :, 0], self.pts[elements, :, 1]
-        fn = _finite("F_N", problem.f_nl(r, z, psi_q), r, z, elements)
-        dfn = _finite("dF_N/dpsi", problem.df_nl(r, z, psi_q), r, z, elements)
-        w = self.w[elements]
-        tv = self.tv
+        r, z = self.pts[..., 0], self.pts[..., 1]
+        fn = _finite("F_N", problem.f_nl(r, z, psi_q), r, z)
+        dfn = _finite("dF_N/dpsi", problem.df_nl(r, z, psi_q), r, z)
+        tv, w = self.tv, self.w
         N = np.einsum("qi,tq->ti", tv, w * fn / r)
         D = np.einsum("qi,tq,qj->tij", tv, w * dfn / r, self.uv)
         return N, D
 
-    def linear_source(self, problem, elements: np.ndarray | None = None) -> np.ndarray:
-        """Stacked (m, n) tau moments of F_L/r over ``elements`` (default all)."""
-        elements = np.arange(len(self.w)) if elements is None else elements
-        r, z = self.pts[elements, :, 0], self.pts[elements, :, 1]
-        fl = _finite("F_L", problem.f_lin(r, z), r, z, elements)
-        return np.einsum("qi,tq->ti", self.tv, self.w[elements] * fl / r)
-
-    def source(self, t: int, psi_coeffs: np.ndarray, problem):
-        """(N_K, D_K, L_K) of element t at interior psi coefficients."""
-        el = np.array([t])
-        N, D = self.source_moments((self.uv @ psi_coeffs)[None], problem, el)
-        return N[0], D[0], self.linear_source(problem, el)[0]
+    def linear_source(self, problem) -> np.ndarray:
+        """Stacked (T, n) tau moments of F_L/r."""
+        r, z = self.pts[..., 0], self.pts[..., 1]
+        fl = _finite("F_L", problem.f_lin(r, z), r, z)
+        return np.einsum("qi,tq->ti", self.tv, self.w * fl / r)
 
     def gram_dense(self, t: int) -> np.ndarray:
         """Reconstruct G_K from its Cholesky factor (test/diagnostic use)."""
         return self.L[t] @ self.L[t].T
 
-    def gram_solve(self, t: int, rhs: np.ndarray) -> np.ndarray:
-        return cho_solve((self.L[t], True), rhs)
 
-
-def _finite(label: str, values, r: np.ndarray, z: np.ndarray,
-            elements: np.ndarray) -> np.ndarray:
+def _finite(label: str, values, r: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Source values broadcast to the point layout; non-finite ones raise."""
     vals = np.broadcast_to(np.asarray(values, dtype=float), r.shape)
     if not np.all(np.isfinite(vals)):
         i, q = np.argwhere(~np.isfinite(vals))[0]
         raise SourceEvaluationError(
-            f"{label} non-finite on element {elements[i]} at point "
+            f"{label} non-finite on element {i} at point "
             f"({r[i, q]:.6g}, {z[i, q]:.6g})")
     return vals
 
-
-# -- module-level convenience wrappers ----------------------------------
-
-
-def assemble_element_source(cache: ElementCache, t: int, psi_coeffs, problem):
-    return cache.source(t, np.asarray(psi_coeffs, dtype=float), problem)

@@ -178,8 +178,3 @@ class EdgeNodalBasis:
         e = np.arange(p + 1)
         Vd = np.where(e > 0, e * t[:, None] ** np.maximum(e - 1, 0), 0.0)
         return V @ self._coeffs, Vd @ self._coeffs
-
-
-def eval_shapes(shape_set, points):
-    """Dense value/derivative tables of a shape set at reference points."""
-    return shape_set.eval(points)

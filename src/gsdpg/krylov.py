@@ -44,10 +44,8 @@ def krylov_solve(A, b, M=None, params: KrylovParams | None = None):
     matvec = A.dot if hasattr(A, "dot") else A
     if M is None:
         psolve = lambda v: v
-    elif callable(M) and not hasattr(M, "dot"):
-        psolve = M
     else:
-        psolve = M.dot
+        psolve = M.dot if hasattr(M, "dot") else M
 
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:

@@ -68,26 +68,6 @@ def d_shape_curve(eps: float = 0.32, delta: float = 0.33, kappa: float = 1.7) ->
     return BoundaryCurve("d-shape", param)
 
 
-def polygon_curve(points: np.ndarray) -> BoundaryCurve:
-    pts = np.asarray(points, dtype=float)
-    closed = np.vstack([pts, pts[:1]])
-    n = len(pts)
-
-    def param(s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        t = (s / (2.0 * np.pi)) * n
-        seg = np.clip(t.astype(int), 0, n - 1)
-        loc = t - seg
-        return closed[seg] + loc[:, None] * (closed[seg + 1] - closed[seg])
-
-    return BoundaryCurve("polygon", param)
-
-
-def star_curve(kind: str, fn: Callable) -> BoundaryCurve:
-    """Wrap an arbitrary closed parametrization (used for Solov'ev level sets)."""
-    return BoundaryCurve(kind, fn)
-
-
 class Mesh:
     """Conforming triangulation with skeleton, boundary flags and NVB state."""
 
@@ -108,6 +88,8 @@ class Mesh:
             raise MeshError("triangles must be (T, 3)")
         if np.any(self.triangles < 0) or np.any(self.triangles >= len(self.vertices)):
             raise MeshError("triangle references a vertex out of range")
+        if not np.all(np.isfinite(self.vertices)):
+            raise MeshError("vertices must be finite")
         if np.any(self.vertices[:, 0] <= 0.0):
             raise MeshError("all vertices must satisfy r > 0")
 
@@ -253,11 +235,6 @@ class Mesh:
         return float(self.areas.sum())
 
 
-def extract_skeleton(mesh: Mesh):
-    """Edge table with global normals and per-triangle orientation signs."""
-    return mesh.edges, mesh.edge_normals, mesh.boundary_edge_flags, mesh.tri_edge_sign
-
-
 # -- MSH reader ---------------------------------------------------------
 
 
@@ -265,8 +242,9 @@ def read_msh(text: str | bytes) -> Mesh:
     """Parse a Gmsh MSH ASCII v2.2 stream into a Mesh.
 
     Only 2-node lines (boundary markers) and 3-node triangles are used; the
-    third node coordinate is ignored.  Errors carry the offending 1-based
-    line number.
+    third node coordinate is ignored.  Nodes that no triangle references
+    (Gmsh writes one per geometry point) are dropped and the rest keep their
+    node-table order.  Errors carry the offending 1-based line number.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
@@ -297,10 +275,12 @@ def read_msh(text: str | bytes) -> Mesh:
         raise MshParseError(f"line {no}: expected $EndMeshFormat")
 
     node_ids: dict[int, int] = {}
+    node_lines: list[int] = []
     coords: list[tuple[float, float]] = []
     tris: list[tuple[int, int, int]] = []
     tri_lines: list[int] = []
     blines: list[tuple[int, int]] = []
+    bline_lines: list[int] = []
 
     while True:
         ln, no = next_line()
@@ -322,9 +302,10 @@ def read_msh(text: str | bytes) -> Mesh:
                     r, z = float(parts[1]), float(parts[2])
                 except ValueError:
                     raise MshParseError(f"line {no}: malformed node line {ln!r}")
-                if r <= 0.0:
-                    raise MshParseError(f"line {no}: node {nid} has r = {r} <= 0")
+                if not (math.isfinite(r) and math.isfinite(z)):
+                    raise MshParseError(f"line {no}: node {nid} has non-finite coordinates")
                 node_ids[nid] = len(coords)
+                node_lines.append(no)
                 coords.append((r, z))
             ln, no = next_line()
             if ln != "$EndNodes":
@@ -350,6 +331,7 @@ def read_msh(text: str | bytes) -> Mesh:
                     if len(nodes) != 2:
                         raise MshParseError(f"line {no}: line element needs 2 nodes")
                     blines.append(_resolve(nodes, node_ids, no))
+                    bline_lines.append(no)
                 elif etype == 2:
                     if len(nodes) != 3:
                         raise MshParseError(f"line {no}: triangle element needs 3 nodes")
@@ -372,8 +354,23 @@ def read_msh(text: str | bytes) -> Mesh:
 
     if not tris:
         raise MshParseError("no triangles found in file")
-    verts = np.array(coords)
     t = np.array(tris, dtype=int)
+    used = np.zeros(len(coords), dtype=bool)
+    used[t] = True
+    bl = np.array(blines, dtype=int).reshape(-1, 2)
+    orphan = np.nonzero(~used[bl].all(axis=1))[0]
+    if len(orphan):
+        raise MshParseError(
+            f"line {bline_lines[orphan[0]]}: line element uses a node that no triangle references"
+        )
+    xy = np.array(coords)
+    nonpositive = used & (xy[:, 0] <= 0.0)
+    if nonpositive.any():
+        i = np.argmax(nonpositive)
+        raise MshParseError(f"line {node_lines[i]}: node has r = {xy[i, 0]} <= 0")
+    new_id = np.cumsum(used) - 1
+    verts = xy[used]
+    t = new_id[t]
     d1 = verts[t[:, 1]] - verts[t[:, 0]]
     d2 = verts[t[:, 2]] - verts[t[:, 0]]
     area2 = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
@@ -382,7 +379,7 @@ def read_msh(text: str | bytes) -> Mesh:
         raise MshParseError(
             f"line {tri_lines[bad[0]]}: triangle has zero or negative area"
         )
-    return Mesh(verts, t, boundary_lines=blines)
+    return Mesh(verts, t, boundary_lines=new_id[bl].tolist())
 
 
 def _resolve(nodes, node_ids, line_no):

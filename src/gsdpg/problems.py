@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .basis import triangle_rule, default_volume_degree
-from .mesh import BoundaryCurve, Mesh, d_shape_curve, rectangle_curve, star_curve
+from .mesh import BoundaryCurve, Mesh, d_shape_curve, rectangle_curve
 
 
 @dataclass(frozen=True)
@@ -32,10 +32,11 @@ class SolovevCoeffs:
 class ProblemSpec:
     """A Grad-Shafranov problem: domain, source split and boundary datum.
 
-    The source functions and the exact fields are called with numpy arrays
-    of point coordinates and must work elementwise: ``exact_psi(r, z)``
-    returns an array shaped like ``r``, ``exact_q(r, z)`` a tuple of two
-    such arrays.
+    The source functions, the boundary datum ``psi_d`` and the exact fields
+    are called with numpy arrays of point coordinates and must work
+    elementwise; each may return a scalar where its value is constant.
+    ``exact_psi(r, z)`` returns an array shaped like ``r``, ``exact_q(r, z)``
+    a tuple of two such arrays.
     """
 
     name: str
@@ -111,7 +112,7 @@ def solovev_boundary(c: SolovevCoeffs) -> BoundaryCurve:
             out[i] = (r_axis + t * math.cos(si), t * math.sin(si))
         return out
 
-    return star_curve("solovev", param)
+    return BoundaryCurve("solovev", param)
 
 
 def solovev_problem(kind: str = "iter") -> ProblemSpec:
@@ -247,11 +248,13 @@ def get_problem(name: str) -> ProblemSpec:
 def linf_error(field_h, exact_field, mesh: Mesh, k: int, s: int = 2) -> float:
     """Max-over-elements sup-norm error on a fixed per-element sample lattice.
 
-    ``field_h(tri, ref_points)`` returns discrete values at reference points;
-    ``exact_field(r, z)`` is called once with the arrays of all elements'
-    sample points and returns the exact scalar or component tuple.  Vector
-    fields reduce by componentwise max.  Samples are the default volume
-    quadrature points plus the 3 vertices.
+    ``field_h(tri, ref_points)`` is called once, with the index array ``tri``
+    of all m elements and the n reference sample points, and returns the
+    discrete values as an (m, n) array for a scalar field or (m, n, 2) for a
+    vector field.  ``exact_field(r, z)`` is called once with the (m, n)
+    arrays of the physical sample points and returns the exact scalar or
+    component tuple.  Vector fields reduce by componentwise max.  Samples
+    are the default volume quadrature points plus the 3 vertices.
     """
     rule = triangle_rule(default_volume_degree(k, s))
     ref = np.vstack([rule.points, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]])
@@ -261,10 +264,7 @@ def linf_error(field_h, exact_field, mesh: Mesh, k: int, s: int = 2) -> float:
     ex = np.stack([np.broadcast_to(np.asarray(c, dtype=float), r.shape)
                    for c in (ex if isinstance(ex, (tuple, list)) else (ex,))],
                    axis=-1)
-    worst = 0.0
-    for t in range(mesh.n_triangles):
-        vals = np.atleast_2d(np.asarray(field_h(t, ref)))
-        if vals.shape[0] != len(ref):
-            vals = vals.T
-        worst = max(worst, float(np.abs(vals - ex[t]).max()))
-    return worst
+    vals = np.asarray(field_h(np.arange(mesh.n_triangles), ref), dtype=float)
+    if vals.ndim == 2:
+        vals = vals[..., None]
+    return float(np.abs(vals - ex).max())

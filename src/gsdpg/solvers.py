@@ -50,8 +50,8 @@ class SolveResult:
 class BlockJacobiPreconditioner:
     """Four diagonal blocks of B_L^T G^{-1} B_L, each solved directly.
 
-    Block ranges follow the global (Q, Psi, Qhat_n, Psihat) ordering; on the
-    constrained system the boundary-eliminated DOFs are simply absent.  The
+    Block ranges follow the global (Q, Psi, Qhat_n, Psihat) ordering of the
+    constrained system: DOFs outside ``state.free`` are absent.  The
     interior blocks P11 (Q) and P22 (Psi) couple only within an element, so
     they are inverted element by element from the stacked static blocks and
     applied with one batched product each; the two trace blocks keep a
@@ -59,12 +59,11 @@ class BlockJacobiPreconditioner:
     of large-scale settings.
     """
 
-    def __init__(self, state: GlobalState, free: np.ndarray | None = None):
+    def __init__(self, state: GlobalState):
         A0 = state.normal_matrix_static().tocsr()
         tr = state.trial
         bounds = [0, tr.offset_psi, tr.offset_qhat, tr.offset_psihat, tr.n_total]
-        if free is None:
-            free = np.ones(tr.n_total, dtype=bool)
+        free = state.free
         if not free[:tr.offset_qhat].all():
             raise ValueError("block-Jacobi preconditioner needs every interior DOF free")
         A_el = state.element_static_blocks()
@@ -100,11 +99,9 @@ class BlockJacobiPreconditioner:
             out[sl] = lu.solve(v[sl])
         return out
 
-    dot = __call__
 
-
-def build_block_jacobi(state: GlobalState, constrained: bool = True):
-    return BlockJacobiPreconditioner(state, state.free if constrained else None)
+def build_block_jacobi(state: GlobalState):
+    return BlockJacobiPreconditioner(state)
 
 
 # -- fixed-point map ----------------------------------------------------

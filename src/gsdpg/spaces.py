@@ -44,84 +44,46 @@ class TrialSpace:
         self.n_total = self.offset_psihat + self.n_psihat
 
     # -- global index maps ---------------------------------------------
+    # Each map takes an element or edge index, or an index array of m of
+    # them; the DOFs of each entry lie along the last axis.
 
-    def q_dofs(self, tri: int) -> np.ndarray:
+    def q_dofs(self, tri) -> np.ndarray:
         """2*nk DOFs: r-component coefficients then z-component."""
-        return self.offset_q + 2 * self.nk * tri + np.arange(2 * self.nk)
+        return self.offset_q + 2 * self.nk * np.asarray(tri)[..., None] + np.arange(2 * self.nk)
 
-    def psi_dofs(self, tri: int) -> np.ndarray:
-        return self.offset_psi + self.nk * tri + np.arange(self.nk)
+    def psi_dofs(self, tri) -> np.ndarray:
+        return self.offset_psi + self.nk * np.asarray(tri)[..., None] + np.arange(self.nk)
 
-    def qhat_edge_dofs(self, edge: int) -> np.ndarray:
+    def qhat_edge_dofs(self, edge) -> np.ndarray:
         """k+1 nodal DOFs along the global edge parameter (lo -> hi vertex)."""
-        return self.offset_qhat + (self.k + 1) * edge + np.arange(self.k + 1)
+        return self.offset_qhat + (self.k + 1) * np.asarray(edge)[..., None] + np.arange(self.k + 1)
 
-    def psihat_edge_dofs(self, edge: int) -> np.ndarray:
+    def psihat_edge_dofs(self, edge) -> np.ndarray:
         """k+2 nodal DOFs ordered with the Lobatto nodes on [0,1]."""
-        k = self.k
-        lo, hi = self.mesh.edges[edge]
-        interior = self.offset_psihat + self.mesh.n_vertices + k * edge + np.arange(k)
-        return np.concatenate(
-            [[self.offset_psihat + lo], interior, [self.offset_psihat + hi]]
-        )
+        k, m = self.k, self.mesh
+        e = np.asarray(edge)[..., None]
+        lo, hi = np.moveaxis(m.edges[e], -1, 0)
+        return self.offset_psihat + np.concatenate(
+            [lo, m.n_vertices + k * e + np.arange(k), hi], axis=-1)
 
     def element_dofs(self, tri) -> np.ndarray:
-        """Local-to-global map for one element's B_K columns.
+        """Local-to-global map of an element's B_K columns, (n_local,) or
+        stacked (m, n_local) for an index array.
 
         Ordering: q (2*nk), psi (nk), then qhat_n per local edge, then psihat
         per local edge.  Shared skeleton DOFs appear once per incident edge.
-        For an index array ``tri`` of m elements the maps are stacked (m, n).
         """
-        k, nk, m = self.k, self.nk, self.mesh
-        t = np.asarray(tri)[..., None]
-        e = m.tri_edges[tri]
-        qhat = self.offset_qhat + (k + 1) * e[..., None] + np.arange(k + 1)
-        lo, hi = np.moveaxis(m.edges[e], -1, 0)
-        psihat = np.concatenate([
-            self.offset_psihat + lo[..., None],
-            self.offset_psihat + m.n_vertices + k * e[..., None] + np.arange(k),
-            self.offset_psihat + hi[..., None],
-        ], axis=-1)
+        t = np.asarray(tri)
+        e = self.mesh.tri_edges[t]
         return np.concatenate([
-            self.offset_q + 2 * nk * t + np.arange(2 * nk),
-            self.offset_psi + nk * t + np.arange(nk),
-            qhat.reshape(*t.shape[:-1], -1),
-            psihat.reshape(*t.shape[:-1], -1),
+            self.q_dofs(t),
+            self.psi_dofs(t),
+            self.qhat_edge_dofs(e).reshape(*t.shape, -1),
+            self.psihat_edge_dofs(e).reshape(*t.shape, -1),
         ], axis=-1)
 
     def n_local(self) -> int:
         return 3 * self.nk + 3 * (self.k + 1) + 3 * (self.k + 2)
-
-    def edge_param_geometry(self, tri: int, le: int):
-        """(sign, ref_start, ref_dir, length) for the global edge parameter.
-
-        ``sign`` is the orientation sign of this triangle on the edge (its
-        outward normal equals sign * global edge normal); ref coordinates map
-        the global parameter t in [0,1] to the triangle's reference element.
-        """
-        m = self.mesh
-        e = m.tri_edges[tri, le]
-        lo, hi = m.edges[e]
-        tv = m.triangles[tri]
-        l_lo = int(np.nonzero(tv == lo)[0][0])
-        l_hi = int(np.nonzero(tv == hi)[0][0])
-        ref0 = _REF_VERTS[l_lo]
-        refd = _REF_VERTS[l_hi] - _REF_VERTS[l_lo]
-        return int(m.tri_edge_sign[tri, le]), ref0, refd, float(m.edge_lengths[e])
-
-    def boundary_psihat_dofs(self) -> np.ndarray:
-        m = self.mesh
-        dofs = set()
-        for e in np.nonzero(m.boundary_edge_flags)[0]:
-            dofs.update(self.psihat_edge_dofs(int(e)).tolist())
-        return np.array(sorted(dofs), dtype=int)
-
-    def psihat_node_points(self, edge: int) -> np.ndarray:
-        """Physical positions of the psihat Lagrange nodes on an edge."""
-        m = self.mesh
-        lo, hi = m.edges[edge]
-        t = self.psihat_basis.nodes[:, None]
-        return m.vertices[lo] + t * (m.vertices[hi] - m.vertices[lo])
 
 
 class TestSpace:
@@ -137,10 +99,6 @@ class TestSpace:
         self.nks = triangle_dim(k + s)
         self.basis = TriangleModalBasis(k + s)
         self.n_element = 3 * self.nks  # phi_r, phi_z, tau
-        self.n_total = mesh.n_triangles * self.n_element
-
-    def element_rows(self, tri: int) -> np.ndarray:
-        return self.n_element * tri + np.arange(self.n_element)
 
 
 @dataclass(frozen=True)
@@ -151,23 +109,19 @@ class BoundaryData:
     values: np.ndarray
 
 
-def build_trial_space(mesh: Mesh, k: int) -> TrialSpace:
-    return TrialSpace(mesh, k)
-
-
-def build_test_space(mesh: Mesh, k: int, s: int) -> TestSpace:
-    return TestSpace(mesh, k, s)
-
-
 def interpolate_boundary(space: TrialSpace, psi_d) -> BoundaryData:
-    """Nodal interpolation of the Dirichlet datum at boundary psihat nodes."""
+    """Nodal interpolation of the Dirichlet datum at boundary psihat nodes.
+
+    ``psi_d(r, z)`` is called once, with the arrays of all boundary nodes.
+    A vertex shared by several boundary edges takes the value computed on
+    the last of them in edge order.
+    """
     m = space.mesh
-    values: dict[int, float] = {}
-    for e in np.nonzero(m.boundary_edge_flags)[0]:
-        dofs = space.psihat_edge_dofs(int(e))
-        pts = space.psihat_node_points(int(e))
-        vals = np.array([psi_d(p[0], p[1]) for p in pts], dtype=float)
-        for d, v in zip(dofs, vals):
-            values[int(d)] = float(v)
-    dofs = np.array(sorted(values), dtype=int)
-    return BoundaryData(dofs, np.array([values[d] for d in dofs]))
+    be = np.nonzero(m.boundary_edge_flags)[0]
+    a, b = m.vertices[m.edges[be, 0]], m.vertices[m.edges[be, 1]]
+    pts = a[:, None] + space.psihat_basis.nodes[:, None] * (b - a)[:, None]
+    vals = np.broadcast_to(np.asarray(psi_d(pts[..., 0], pts[..., 1]), dtype=float),
+                           pts.shape[:-1]).ravel()
+    # np.unique keeps the first occurrence, so reverse to keep the last
+    dofs, last = np.unique(space.psihat_edge_dofs(be).ravel()[::-1], return_index=True)
+    return BoundaryData(dofs, vals[::-1][last])

@@ -111,13 +111,6 @@ class GlobalState:
         U[self.bdata.dofs] = self.bdata.values
         return U
 
-    def psi_coeffs(self, U: np.ndarray, t: int) -> np.ndarray:
-        return U[self.trial.psi_dofs(t)]
-
-    def q_coeffs(self, U: np.ndarray, t: int) -> np.ndarray:
-        nk = self.trial.nk
-        return U[self.trial.q_dofs(t)].reshape(2, nk)
-
     def interior_coeffs(self, U: np.ndarray):
         """Stacked interior coefficients: q (T, 2, nk) and psi (T, nk)."""
         tr = self.trial
@@ -146,9 +139,6 @@ class GlobalState:
         r[:, self._tau] -= N + self.L
         return r
 
-    def residual_vector(self, U: np.ndarray) -> np.ndarray:
-        return self.residual_elements(U).ravel()
-
     def _whitened_residual(self, U: np.ndarray, N: np.ndarray) -> np.ndarray:
         """L^{-1} r per element: W u - Z (N + F_L) on the tau rows."""
         y = np.einsum("tij,tj->ti", self.W, U[self.cache.cols])
@@ -161,10 +151,6 @@ class GlobalState:
         y = self._whitened_residual(U, N)
         E2 = np.einsum("ti,ti->t", y, y)
         return float(np.sqrt(E2.sum())), np.sqrt(E2)
-
-    def riesz_element(self, t: int, r_K: np.ndarray) -> np.ndarray:
-        """Riesz representative of the element residual: G_K^{-1} r_K."""
-        return self.cache.gram_solve(t, r_K)
 
     # -- normal operator -----------------------------------------------
 
@@ -187,16 +173,10 @@ class GlobalState:
             self._A0 = A.tocsr()
         return self._A0
 
-    def normal_matrix(self, U: np.ndarray | None = None, include_DN: bool = True,
-                      D=None) -> sp.csr_matrix:
-        """A = J^T(U) G^{-1} B_L; reduces to the static SPD matrix for D_N = 0."""
+    def normal_matrix(self, D: np.ndarray) -> sp.csr_matrix:
+        """A = J^T(U) G^{-1} B_L at the source derivative moments D of U
+        (``sources(U)[1]``); the static SPD matrix when D vanishes."""
         A = self.normal_matrix_static()
-        if not include_DN:
-            return A
-        if D is None:
-            if U is None:
-                raise ValueError("need U (or precomputed D) for the D_N terms")
-            _, D = self.sources(U)
         active = np.nonzero(np.any(D, axis=(1, 2)))[0]
         if len(active) == 0:
             return A
@@ -341,11 +321,18 @@ class GlobalState:
 
     # -- field evaluation ----------------------------------------------
 
-    def eval_psi(self, U: np.ndarray, t: int, ref_points: np.ndarray) -> np.ndarray:
-        vals, _ = self.trial.psi_basis.eval(ref_points)
-        return vals @ self.psi_coeffs(U, t)
+    # each element's values come from its own product with the basis table,
+    # the same arithmetic as a one-element call
 
-    def eval_q(self, U: np.ndarray, t: int, ref_points: np.ndarray) -> np.ndarray:
+    def eval_psi(self, U: np.ndarray, tri, ref_points: np.ndarray) -> np.ndarray:
+        """psi at n reference points of element ``tri``: (n,), or (m, n) for
+        an index array of m elements."""
+        vals, _ = self.trial.psi_basis.eval(ref_points)
+        return (vals @ self.interior_coeffs(U)[1][tri][..., None])[..., 0]
+
+    def eval_q(self, U: np.ndarray, tri, ref_points: np.ndarray) -> np.ndarray:
+        """q at n reference points of element ``tri``: (n, 2), or (m, n, 2)
+        for an index array of m elements."""
         vals, _ = self.trial.q_basis.eval(ref_points)
-        return vals @ self.q_coeffs(U, t).T
+        return vals @ np.swapaxes(self.interior_coeffs(U)[0][tri], -1, -2)
 

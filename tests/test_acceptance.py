@@ -266,8 +266,8 @@ def test_residual_jacobian_matches_fd(name, res, k):
     V = rng.standard_normal(st.n_total)
     V[st.bdata.dofs] = 0.0
     eps = 1e-7
-    rp = st.residual_vector(st.apply_boundary(U + eps * V))
-    rm = st.residual_vector(st.apply_boundary(U - eps * V))
+    rp = st.residual_elements(st.apply_boundary(U + eps * V)).ravel()
+    rm = st.residual_elements(st.apply_boundary(U - eps * V)).ravel()
     fd = (rp - rm) / (2 * eps)
     _, D = st.sources(U)
     n = st.test.nks
@@ -289,7 +289,7 @@ def test_estimator_identity_and_per_element_consistency():
     st = GlobalState(build_builtin_mesh(prob.boundary, (4, 4)), prob, k=2)
     U = random_iterate(st, seed=9)
     total, ind = st.energy_residual(U)
-    r = st.residual_vector(U)
+    r = st.residual_elements(U).ravel()
     G = global_gram(st)
     want = float(r @ spla.spsolve(G, r))
     assert abs(total**2 - want) <= 1e-12 * want
@@ -406,7 +406,7 @@ def test_preconditioner_reduces_gmres_iterations():
     prob = get_problem("solovev-iter")
     mesh = uniform_refine(build_builtin_mesh(prob.boundary, (12, 3)))
     st = GlobalState(mesh, prob, k=2)
-    A = st.normal_matrix(include_DN=False)
+    A = st.normal_matrix_static()
     N, D = st.sources(st.initial_guess())
     b = st.fixed_point_rhs(st.initial_guess(), N=N, D=D)
     A_ff, b_f = st.constrain(A, b)

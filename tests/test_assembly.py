@@ -6,7 +6,6 @@ from gsdpg.assembly import (
     STANDARD,
     ElementCache,
     SourceEvaluationError,
-    assemble_element_source,
 )
 from gsdpg.basis import triangle_rule
 from gsdpg.mesh import Mesh, build_builtin_mesh, rectangle_curve
@@ -88,8 +87,8 @@ def reference_element(cache, t):
     psihat_vals, _ = trial.psihat_basis.eval(t_e)
     kq, kp = trial.k + 1, trial.k + 2
     for le in range(3):
-        sign, _, _, length = trial.edge_param_geometry(t, le)
         e = mesh.tri_edges[t, le]
+        sign, length = mesh.tri_edge_sign[t, le], mesh.edge_lengths[e]
         n_out = sign * mesh.edge_normals[e]
         lo, hi = mesh.edges[e]
         l_lo = int(np.nonzero(mesh.triangles[t] == lo)[0][0])
@@ -242,12 +241,14 @@ class TestGram:
         assert np.abs(G2[:n, 2 * n:]).max() > 1e-8
         assert np.abs(G1[:n, 2 * n:]).max() < 1e-13
 
-    def test_gram_solve_inverts(self):
-        cache, _, _ = make_cache(small_mesh(), k=1, s=2)
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal(cache.gram_dense(0).shape[0])
-        y = cache.gram_solve(0, cache.gram_dense(0) @ x)
-        assert np.abs(y - x).max() < 1e-9
+
+def element_source(cache, t, coeffs, problem):
+    """(N_K, D_K) of element t with psi given by its coefficients there and
+    zero on every other element."""
+    psi_q = np.zeros(cache.w.shape)
+    psi_q[t] = cache.uv @ coeffs
+    N, D = cache.source_moments(psi_q, problem)
+    return N[t], D[t]
 
 
 class TestSourceMoments:
@@ -256,7 +257,7 @@ class TestSourceMoments:
         mesh = build_builtin_mesh(prob.boundary, (6, 2))
         cache, trial, test = make_cache(mesh, k=2, s=2)
         t = 4
-        _, _, L_K = assemble_element_source(cache, t, np.zeros(trial.nk), prob)
+        L_K = cache.linear_source(prob)[t]
         rule = triangle_rule(2 * test.order + 6)
         tv, _ = test.basis.eval(rule.points)
         phys = mesh.map_to_physical(t, rule.points)
@@ -274,16 +275,18 @@ class TestSourceMoments:
         c = 0.1 * rng.standard_normal(trial.nk)
         dc = rng.standard_normal(trial.nk)
         eps = 1e-6
-        Np, _, _ = cache.source(3, c + eps * dc, prob)
-        Nm, _, _ = cache.source(3, c - eps * dc, prob)
-        _, D_K, _ = cache.source(3, c, prob)
+        Np, _ = element_source(cache, 3, c + eps * dc, prob)
+        Nm, _ = element_source(cache, 3, c - eps * dc, prob)
+        _, D_K = element_source(cache, 3, c, prob)
         fd = (Np - Nm) / (2 * eps)
         assert np.abs(fd - D_K @ dc).max() < 1e-7
 
     def test_nonfinite_source_reports_element_and_point(self):
         prob = solovev_problem("iter")
-        prob.f_nl = lambda r, z, p: np.where(r > 0, np.inf, 0.0)
+        prob.f_nl = lambda r, z, p: np.where(p > 0, np.inf, 0.0)
         mesh = build_builtin_mesh(prob.boundary, (6, 2))
         cache, trial, _ = make_cache(mesh, k=1, s=2)
+        psi = np.zeros(trial.nk)
+        psi[0] = 1.0                      # the constant mode: psi > 0 on element 2 only
         with pytest.raises(SourceEvaluationError, match=r"F_N non-finite on element 2"):
-            cache.source(2, np.zeros(trial.nk), prob)
+            element_source(cache, 2, psi, prob)

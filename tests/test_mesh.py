@@ -38,6 +38,13 @@ class TestMeshValidation:
         with pytest.raises(MeshError, match="out of range"):
             Mesh(verts, np.array([[0, 1, 5]]))
 
+    @pytest.mark.parametrize("bad", [(1, 0, np.nan), (2, 1, np.inf)])
+    def test_rejects_non_finite_vertex(self, bad):
+        verts = np.array([[1.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0]])
+        verts[bad[:2]] = bad[2]
+        with pytest.raises(MeshError, match="vertices must be finite"):
+            Mesh(verts, np.array([[0, 1, 2], [0, 2, 3]]))
+
     def test_euler_relation_holds(self):
         m = two_triangle_mesh()
         assert m.n_vertices - m.n_edges + m.n_triangles == 1
@@ -230,6 +237,34 @@ class TestMshReader:
         bad = MSH_VALID.replace("1 1.0 0.0 0.0", "1 -1.0 0.0 0.0")
         with pytest.raises(MshParseError, match="line 6"):
             read_msh(bad)
+
+    @pytest.mark.parametrize("node,line", [("2 nan 0.0 0.0", 7), ("3 inf 1.0 0.0", 8)])
+    def test_non_finite_node_reports_line(self, node, line):
+        old = {"2": "2 2.0 0.0 0.0", "3": "3 2.0 1.0 0.0"}[node[0]]
+        with pytest.raises(MshParseError, match=f"line {line}: .*non-finite"):
+            read_msh(MSH_VALID.replace(old, node))
+
+    @pytest.mark.parametrize("r", ["1.5", "0.0"])
+    def test_unreferenced_node_is_dropped(self, r):
+        # a point element on a node no triangle uses, as Gmsh writes for a
+        # circle's centre (which may lie on the axis); the node sits
+        # mid-table to check the renumbering
+        text = (MSH_VALID.replace("$Nodes\n4\n", "$Nodes\n5\n")
+                .replace("2 2.0 0.0 0.0\n", f"2 2.0 0.0 0.0\n5 {r} 0.5 0.0\n")
+                .replace("$Elements\n6\n", "$Elements\n7\n")
+                .replace("$EndElements", "7 15 2 0 1 5\n$EndElements"))
+        m = read_msh(text)
+        want = read_msh(MSH_VALID)
+        assert np.array_equal(m.vertices, want.vertices)
+        assert np.array_equal(m.triangles, want.triangles)
+
+    def test_line_on_unreferenced_node_reports_line(self):
+        text = (MSH_VALID.replace("$Nodes\n4\n", "$Nodes\n5\n")
+                .replace("$EndNodes", "5 1.5 0.5 0.0\n$EndNodes")
+                .replace("$Elements\n6\n", "$Elements\n7\n")
+                .replace("$EndElements", "7 1 2 0 1 4 5\n$EndElements"))
+        with pytest.raises(MshParseError, match="line 20: .*no triangle"):
+            read_msh(text)
 
     def test_negative_area_reports_line(self):
         bad = MSH_VALID.replace("5 2 2 0 1 1 2 3", "5 2 2 0 1 1 3 2")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gsdpg.basis import default_volume_degree, triangle_rule
 from gsdpg.mesh import build_builtin_mesh
 from gsdpg.problems import (
     dshape_problem,
@@ -144,7 +145,7 @@ class TestLinfError:
 
         def field(t, ref):
             phys = mesh.map_to_physical(t, ref)
-            return np.array([prob.exact_psi(p[0], p[1]) for p in phys])
+            return prob.exact_psi(phys[..., 0], phys[..., 1])
 
         assert linf_error(field, prob.exact_psi, mesh, 2) < 1e-14
 
@@ -154,7 +155,7 @@ class TestLinfError:
 
         def field(t, ref):
             phys = mesh.map_to_physical(t, ref)
-            return np.array([prob.exact_psi(p[0], p[1]) + 0.125 for p in phys])
+            return prob.exact_psi(phys[..., 0], phys[..., 1]) + 0.125
 
         assert linf_error(field, prob.exact_psi, mesh, 2) == pytest.approx(0.125, rel=1e-12)
 
@@ -164,6 +165,31 @@ class TestLinfError:
 
         def field(t, ref):
             phys = mesh.map_to_physical(t, ref)
-            return np.array([prob.exact_q(p[0], p[1]) for p in phys]) + [0.0, 0.5]
+            return np.stack(prob.exact_q(phys[..., 0], phys[..., 1]), axis=-1) + [0.0, 0.5]
 
         assert linf_error(field, prob.exact_q, mesh, 2) == pytest.approx(0.5, rel=1e-12)
+
+    def test_matches_element_loop_reference(self):
+        from gsdpg.solvers import solve_nonlinear
+        from gsdpg.system import GlobalState
+        prob = get_problem("manufactured")
+        mesh = build_builtin_mesh(prob.boundary, (8, 2))
+        st = GlobalState(mesh, prob, k=2)
+        U = solve_nonlinear(st).U
+        tr = st.trial
+        rule = triangle_rule(default_volume_degree(2, 2))
+        ref = np.vstack([rule.points, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]])
+        vals, _ = tr.psi_basis.eval(ref)
+        # the element loop: one element's coefficients and exact values at a time
+        want_psi = want_q = 0.0
+        for t in range(mesh.n_triangles):
+            phys = mesh.map_to_physical(t, ref)
+            r, z = phys[:, 0], phys[:, 1]
+            psi = vals @ U[tr.psi_dofs(t)]
+            q = vals @ U[tr.q_dofs(t)].reshape(2, tr.nk).T
+            want_psi = max(want_psi, np.abs(psi - prob.exact_psi(r, z)).max())
+            want_q = max(want_q, np.abs(q - np.column_stack(prob.exact_q(r, z))).max())
+        got_psi = linf_error(lambda t, rp: st.eval_psi(U, t, rp), prob.exact_psi, mesh, 2)
+        got_q = linf_error(lambda t, rp: st.eval_q(U, t, rp), prob.exact_q, mesh, 2)
+        assert got_psi == pytest.approx(want_psi, rel=1e-12)
+        assert got_q == pytest.approx(want_q, rel=1e-12)

@@ -187,10 +187,10 @@ class TestBlockJacobi:
 
     def test_constrained_interior_dof_rejected(self):
         st = small_state()
-        free = st.free.copy()
-        free[st.trial.offset_psi] = False
+        st.free = st.free.copy()
+        st.free[st.trial.offset_psi] = False
         with pytest.raises(ValueError, match="interior DOF"):
-            BlockJacobiPreconditioner(st, free)
+            BlockJacobiPreconditioner(st)
 
     def test_singular_interior_block_named(self, monkeypatch):
         st = small_state()

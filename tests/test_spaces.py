@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
 
+from gsdpg.assembly import ElementCache
 from gsdpg.mesh import Mesh, build_builtin_mesh, rectangle_curve
-from gsdpg.spaces import (
-    TestSpace,
-    TrialSpace,
-    build_test_space,
-    build_trial_space,
-    interpolate_boundary,
-)
+from gsdpg.problems import get_problem
+from gsdpg.spaces import _REF_VERTS, TestSpace, TrialSpace, interpolate_boundary
 
 
 def single_triangle():
@@ -101,9 +97,11 @@ class TestEdgeGeometry:
         sp = TrialSpace(m, 1)
         for t in range(m.n_triangles):
             for le in range(3):
-                sign, ref0, refd, length = sp.edge_param_geometry(t, le)
                 e = m.tri_edges[t, le]
                 lo, hi = m.edges[e]
+                sign, length = m.tri_edge_sign[t, le], m.edge_lengths[e]
+                ref0 = _REF_VERTS[np.nonzero(m.triangles[t] == lo)[0][0]]
+                refd = _REF_VERTS[np.nonzero(m.triangles[t] == hi)[0][0]] - ref0
                 p0 = m.map_to_physical(t, ref0[None, :])[0]
                 p1 = m.map_to_physical(t, (ref0 + refd)[None, :])[0]
                 assert np.allclose(p0, m.vertices[lo])
@@ -119,29 +117,69 @@ class TestTestSpace:
         nks = (2 + 2 + 1) * (2 + 2 + 2) // 2
         assert ts.nks == nks
         assert ts.n_element == 3 * nks
-        assert ts.n_total == m.n_triangles * ts.n_element
+        cache = ElementCache(m, TrialSpace(m, 2), ts)
+        assert cache.B.shape[:2] == (m.n_triangles, ts.n_element)
 
     def test_enrichment_lower_bound(self):
         with pytest.raises(ValueError):
             TestSpace(small_rect(), 2, 1)
 
     def test_rows_partition(self):
-        ts = build_test_space(small_rect(), 1, 2)
-        all_rows = np.concatenate([ts.element_rows(t)
-                                   for t in range(ts.mesh.n_triangles)])
-        assert np.array_equal(np.sort(all_rows), np.arange(ts.n_total))
+        # the stacked B_K keep each element's test rows under its own index
+        m = small_rect()
+        ts = TestSpace(m, 1, 2)
+        B = ElementCache(m, TrialSpace(m, 1), ts).B
+        rows = np.arange(B.shape[0] * B.shape[1]).reshape(B.shape[:2])
+        all_rows = np.concatenate([rows[t] for t in range(m.n_triangles)])
+        assert np.array_equal(np.sort(all_rows), np.arange(m.n_triangles * ts.n_element))
+
+
+def reference_boundary(space, psi_d):
+    """interpolate_boundary one boundary edge and one node at a time; the
+    last edge through a shared vertex sets its value."""
+    m = space.mesh
+    values = {}
+    for e in np.nonzero(m.boundary_edge_flags)[0]:
+        lo, hi = m.edges[e]
+        t = space.psihat_basis.nodes[:, None]
+        pts = m.vertices[lo] + t * (m.vertices[hi] - m.vertices[lo])
+        for d, p in zip(space.psihat_edge_dofs(int(e)), pts):
+            # 0-d arrays: numpy rounds x**4 of a scalar differently
+            values[int(d)] = float(psi_d(np.asarray(p[0]), np.asarray(p[1])))
+    dofs = np.array(sorted(values), dtype=int)
+    return dofs, np.array([values[d] for d in dofs])
+
+
+BUILTIN_PROBLEMS = ["solovev-iter", "solovev-nstx", "manufactured", "dshape", "rect-amr"]
 
 
 class TestBoundaryInterpolation:
     def test_constant_datum(self):
-        sp = build_trial_space(small_rect(), 2)
+        m = small_rect()
+        sp = TrialSpace(m, 2)
         bd = interpolate_boundary(sp, lambda r, z: 0.25)
         assert np.all(bd.values == 0.25)
-        assert np.array_equal(bd.dofs, sp.boundary_psihat_dofs())
+        boundary = sp.psihat_edge_dofs(np.nonzero(m.boundary_edge_flags)[0])
+        assert np.array_equal(bd.dofs, np.unique(boundary))
+
+    @pytest.mark.parametrize("name", BUILTIN_PROBLEMS)
+    def test_matches_point_loop_reference(self, name):
+        prob = get_problem(name)
+        res = (3, 3) if name == "rect-amr" else (8, 2)
+        sp = TrialSpace(build_builtin_mesh(prob.boundary, res), 2)
+        bd = interpolate_boundary(sp, prob.psi_d)
+        dofs, values = reference_boundary(sp, prob.psi_d)
+        assert np.array_equal(bd.dofs, dofs)
+        assert np.abs(bd.values - values).max() <= 1e-15 * np.abs(values).max()
+        # lo + 1 * (hi - lo) need not round to hi, so a vertex shared by two
+        # edges gets two points; the coordinates show which one won
+        for coord in (lambda r, z: r, lambda r, z: z):
+            got = interpolate_boundary(sp, coord).values
+            assert np.array_equal(got, reference_boundary(sp, coord)[1])
 
     def test_linear_datum_exact_at_nodes(self):
         m = small_rect()
-        sp = build_trial_space(m, 1)
+        sp = TrialSpace(m, 1)
         bd = interpolate_boundary(sp, lambda r, z: 2.0 * r - z)
         # vertex DOFs carry the vertex values
         for d, v in zip(bd.dofs, bd.values):
@@ -152,7 +190,7 @@ class TestBoundaryInterpolation:
 
     def test_only_boundary_dofs_constrained(self):
         m = small_rect()
-        sp = build_trial_space(m, 1)
+        sp = TrialSpace(m, 1)
         bd = interpolate_boundary(sp, lambda r, z: 1.0)
         interior_edges = np.nonzero(~m.boundary_edge_flags)[0]
         for e in interior_edges:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import solve_triangular
 
 import gsdpg.system
 from gsdpg.assembly import SourceEvaluationError
@@ -40,7 +41,7 @@ class TestResidualAndEnergy:
         """E_total^2 equals r^T G^{-1} r with the block-diagonal Gram
         assembled and solved globally (independent route)."""
         U = random_iterate(nl_state, seed=1)
-        r = nl_state.residual_vector(U)
+        r = nl_state.residual_elements(U).ravel()
         G = global_gram(nl_state)
         want = float(r @ spla.spsolve(G, r))
         total, per_el = nl_state.energy_residual(U)
@@ -55,7 +56,9 @@ class TestResidualAndEnergy:
         t = 3
         rng = np.random.default_rng(3)
         r_K = rng.standard_normal(3 * nl_state.test.nks)
-        y = nl_state.riesz_element(t, r_K)
+        # G_K = L_K L_K^T with the stacked Cholesky factor of the state
+        L = nl_state.cache.L[t]
+        y = solve_triangular(L.T, solve_triangular(L, r_K, lower=True), lower=False)
         assert np.abs(nl_state.cache.gram_dense(t) @ y - r_K).max() < 1e-9
 
 
@@ -84,7 +87,7 @@ class TestNormalOperator:
         st = nl_state
         U = random_iterate(st, seed=4)
         N, D = st.sources(U)
-        A = st.normal_matrix(U)
+        A = st.normal_matrix(D)
         rng = np.random.default_rng(5)
         v = rng.standard_normal(st.n_total)
         got = A @ v
@@ -95,7 +98,7 @@ class TestNormalOperator:
         for t in range(st.mesh.n_triangles):
             B = st.cache.B[t]
             cols = st.cache.cols[t]
-            y = st.cache.gram_solve(t, B @ v[cols])
+            y = np.linalg.solve(st.cache.gram_dense(t), B @ v[cols])
             loc = B.T @ y
             loc[c_psi] -= D[t].T @ y[tau]
             np.add.at(want, cols, loc)
@@ -106,7 +109,7 @@ class TestNormalOperator:
         prob = get_problem("solovev-iter")
         mesh = build_builtin_mesh(prob.boundary, (6, 2))
         st = GlobalState(mesh, prob, k=k)
-        A = st.normal_matrix(include_DN=False)
+        A = st.normal_matrix_static()
         A_ff, _ = st.constrain(A, np.zeros(st.n_total))
         dense = A_ff.toarray()
         assert np.abs(dense - dense.T).max() < 1e-11 * np.abs(dense).max()
@@ -122,8 +125,8 @@ class TestNormalOperator:
         V = rng.standard_normal(st.n_total)
         V[st.bdata.dofs] = 0.0
         eps = 1e-7
-        rp = st.residual_vector(st.apply_boundary(U + eps * V))
-        rm = st.residual_vector(st.apply_boundary(U - eps * V))
+        rp = st.residual_elements(st.apply_boundary(U + eps * V)).ravel()
+        rm = st.residual_elements(st.apply_boundary(U - eps * V)).ravel()
         fd = (rp - rm) / (2 * eps)
         _, D = st.sources(U)
         want = np.zeros_like(fd)
@@ -135,6 +138,20 @@ class TestNormalOperator:
             jv[st._tau] -= D[t] @ V[st.trial.psi_dofs(t)]
             want[3 * n * t: 3 * n * (t + 1)] = jv
         assert np.abs(fd - want).max() < 1e-6
+
+
+class TestFieldEvaluation:
+    def test_index_array_stacks_element_calls(self, lin_state):
+        st = lin_state
+        U = random_iterate(st, seed=11)
+        ref = np.array([[1 / 3, 1 / 3], [0.1, 0.2], [0.6, 0.3], [0.0, 1.0]])
+        tri = np.array([4, 0, 7, 4])
+        psi = st.eval_psi(U, tri, ref)
+        q = st.eval_q(U, tri, ref)
+        assert psi.shape == (4, 4) and q.shape == (4, 4, 2)
+        for i, t in enumerate(tri):
+            assert np.array_equal(psi[i], st.eval_psi(U, int(t), ref))
+            assert np.array_equal(q[i], st.eval_q(U, int(t), ref))
 
 
 class TestCondensedSolve:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 MAX_QUAD_DEGREE = 30
 MAX_BASIS_ORDER = 12
@@ -29,6 +29,24 @@ class QuadratureRule:
     degree: int
 
 
+def _gauss_jacobi(n: int, a: float, b: float):
+    """n-point Gauss rule on [-1, 1] for the weight (1-x)^a (1+x)^b, a + b > 0.
+
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric tridiagonal
+    Jacobi matrix of the orthonormal Jacobi recurrence, and each weight is
+    the total mass of the weight times the squared first component of the
+    node's unit eigenvector.
+    """
+    k = np.arange(1, n)
+    c = 2.0 * np.arange(n) + a + b
+    diag = (b * b - a * a) / (c * (c + 2.0))
+    c = c[1:]
+    off = 2.0 / c * np.sqrt(k * (k + a) * (k + b) * (k + a + b) / ((c + 1.0) * (c - 1.0)))
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    mass = 2.0 ** (a + b + 1) * math.gamma(a + 1) * math.gamma(b + 1) / math.gamma(a + b + 2)
+    return x, mass * v[0] ** 2
+
+
 @lru_cache(maxsize=None)
 def triangle_rule(degree: int) -> QuadratureRule:
     """Collapsed-tensor Gauss rule on the reference triangle.
@@ -41,10 +59,10 @@ def triangle_rule(degree: int) -> QuadratureRule:
     if not 0 <= degree <= MAX_QUAD_DEGREE:
         raise ValueError(f"triangle quadrature degree {degree} outside [0, {MAX_QUAD_DEGREE}]")
     n = degree // 2 + 1
-    xu, wu = roots_legendre(n)
+    xu, wu = leggauss(n)
     u = 0.5 * (xu + 1.0)
     wu = 0.5 * wu
-    xv, wv = roots_jacobi(n, 1.0, 0.0)
+    xv, wv = _gauss_jacobi(n, 1.0, 0.0)
     v = 0.5 * (xv + 1.0)
     wv = 0.25 * wv  # includes the (1-v) factor of the Duffy map
     uu, vv = np.meshgrid(u, v, indexing="ij")
@@ -59,7 +77,7 @@ def edge_rule(degree: int) -> QuadratureRule:
     if not 0 <= degree <= MAX_QUAD_DEGREE:
         raise ValueError(f"edge quadrature degree {degree} outside [0, {MAX_QUAD_DEGREE}]")
     n = degree // 2 + 1
-    x, w = roots_legendre(n)
+    x, w = leggauss(n)
     return QuadratureRule(0.5 * (x[:, None] + 1.0), 0.5 * w, degree)
 
 
@@ -152,7 +170,7 @@ def lobatto_nodes(order: int) -> np.ndarray:
         raise ValueError("nodal edge basis needs order >= 1")
     if order == 1:
         return np.array([0.0, 1.0])
-    xi, _ = roots_jacobi(order - 1, 1.0, 1.0)
+    xi, _ = _gauss_jacobi(order - 1, 1.0, 1.0)
     return np.concatenate([[0.0], 0.5 * (xi + 1.0), [1.0]])
 
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .basis import triangle_rule, default_volume_degree
 from .mesh import BoundaryCurve, Mesh, d_shape_curve, rectangle_curve
@@ -85,11 +84,27 @@ def solovev_psi(c: SolovevCoeffs):
     return psi, grad
 
 
+def _bisect(f, a: float, b: float) -> float:
+    """Root of ``f`` in [a, b], given f(a) < 0 <= f(b), to 1e-15 * (1 + |x|)."""
+    while True:
+        m = 0.5 * (a + b)
+        if 0.5 * (b - a) <= 1e-15 * (1.0 + abs(m)):
+            return m
+        if f(m) < 0.0:
+            a = m
+        else:
+            b = m
+
+
 def solovev_boundary(c: SolovevCoeffs) -> BoundaryCurve:
     """Zero level set of the Solov'ev psi as a star-shaped parametrization."""
-    psi, grad = solovev_psi(c)
-    # magnetic axis (psi minimum on z=0) as the star center
-    r_axis = brentq(lambda r: grad(r, 0.0)[0], 1.0 - c.eps + 1e-12, 1.0 + c.eps - 1e-12)
+    psi, _ = solovev_psi(c)
+    # magnetic axis (psi minimum on z=0) as the star center: the positive
+    # root of d(psi)/dr(r, 0) = r (r^2 (1/2 + 4 d3) + 2 d2)
+    r2 = -4.0 * c.d2 / (1.0 + 8.0 * c.d3)
+    if not (1.0 - c.eps) ** 2 < r2 < (1.0 + c.eps) ** 2:
+        raise ValueError("Solov'ev psi has no magnetic axis inside the plasma")
+    r_axis = math.sqrt(r2)
 
     def radius(s):
         cs, sn = math.cos(s), math.sin(s)
@@ -97,12 +112,17 @@ def solovev_boundary(c: SolovevCoeffs) -> BoundaryCurve:
         def f(t):
             return psi(r_axis + t * cs, t * sn)
 
-        t_hi = 0.1
+        # grow the ray until psi first turns non-negative and bracket from the
+        # last negative sample.  psi is even in r, so the ray stops at r = 0:
+        # beyond it lies the mirror image of the plasma, where a sample with
+        # psi < 0 would move the bracket past the true boundary.
+        t_max = 100.0 if cs >= 0.0 else min(100.0, r_axis / -cs)
+        t_lo, t_hi = 0.0, min(0.1, t_max)
         while f(t_hi) < 0.0:
-            t_hi *= 1.5
-            if t_hi > 100.0:
+            if t_hi >= t_max:
                 raise RuntimeError("failed to bracket the plasma boundary")
-        return brentq(f, 0.0, t_hi, xtol=1e-15, rtol=1e-15)
+            t_lo, t_hi = t_hi, min(1.5 * t_hi, t_max)
+        return _bisect(f, t_lo, t_hi)
 
     def param(s):
         s = np.atleast_1d(np.asarray(s, dtype=float))

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import roots_jacobi, roots_legendre
 
 from gsdpg.basis import (
+    MAX_BASIS_ORDER,
+    MAX_QUAD_DEGREE,
     EdgeNodalBasis,
     TriangleModalBasis,
     edge_rule,
@@ -72,6 +75,25 @@ class TestEdgeRule:
         r = edge_rule(9)
         assert r.weights.sum() == pytest.approx(1.0, abs=1e-14)
         assert np.all(r.weights > 0)
+
+
+@pytest.mark.parametrize("n", range(1, MAX_QUAD_DEGREE // 2 + 2))
+def test_gauss_rules_match_scipy(n):
+    """n-point rules equal the scipy.special construction they replace."""
+    degree = 2 * n - 2
+    xu, wu = roots_legendre(n)
+    xv, wv = roots_jacobi(n, 1.0, 0.0)
+    u, v = np.meshgrid(0.5 * (xu + 1.0), 0.5 * (xv + 1.0), indexing="ij")
+    tri = triangle_rule(degree)
+    assert np.abs(tri.points[:, 0] - (u * (1.0 - v)).ravel()).max() <= 1e-14
+    assert np.abs(tri.points[:, 1] - v.ravel()).max() <= 1e-14
+    assert np.abs(tri.weights - np.outer(0.5 * wu, 0.25 * wv).ravel()).max() <= 1e-14
+    edge = edge_rule(degree)
+    assert np.abs(edge.points[:, 0] - 0.5 * (xu + 1.0)).max() <= 1e-14
+    assert np.abs(edge.weights - 0.5 * wu).max() <= 1e-14
+    if n < MAX_BASIS_ORDER:  # interior Lobatto nodes of the order-(n+1) edge basis
+        xl, _ = roots_jacobi(n, 1.0, 1.0)
+        assert np.abs(lobatto_nodes(n + 1)[1:-1] - 0.5 * (xl + 1.0)).max() <= 1e-14
 
 
 class TestTriangleModalBasis:

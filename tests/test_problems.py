@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from gsdpg.basis import default_volume_degree, triangle_rule
 from gsdpg.mesh import build_builtin_mesh
@@ -78,6 +79,32 @@ class TestSolovevProblem:
         pts = prob.boundary.points(s)
         vals = np.array([prob.exact_psi(p[0], p[1]) for p in pts])
         assert np.abs(vals).max() < 1e-12
+
+    @pytest.mark.parametrize("kind,shape", [("iter", (0.32, 1.7, 0.33)),
+                                            ("nstx", (0.78, 2.0, 0.35))])
+    def test_boundary_is_first_zero_crossing(self, kind, shape):
+        psi, grad = solovev_psi(solovev_coefficients(*shape))
+        eps = shape[0]
+        axis = brentq(lambda r: grad(r, 0.0)[0], 1 - eps + 1e-12, 1 + eps - 1e-12,
+                      xtol=1e-15, rtol=1e-15)
+        s = np.linspace(0.0, 2 * np.pi, 2001)[:-1]
+        pts = solovev_problem(kind).boundary.points(s)
+        r, z = pts[:, 0], pts[:, 1]
+        assert np.all(r > 0)
+        assert np.abs(psi(r, z)).max() <= 1e-12
+        # inside all the way from the axis: no earlier crossing was skipped
+        frac = np.linspace(0.0, 1.0, 66)[1:-1, None]
+        assert np.all(psi(axis + frac * (r - axis), frac * z) < 0)
+        # reference: brentq on the first sign change of a fine ray sampling
+        t = np.linspace(0.0, 3.0, 3001)
+        ref = np.empty_like(pts)
+        for i, si in enumerate(s):
+            cs, sn = np.cos(si), np.sin(si)
+            j = np.argmax(psi(axis + t * cs, t * sn) >= 0)
+            tb = brentq(lambda tt: psi(axis + tt * cs, tt * sn), t[j - 1], t[j],
+                        xtol=1e-15, rtol=1e-15)
+            ref[i] = axis + tb * cs, tb * sn
+        assert np.abs(pts - ref).max() <= 1e-13
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

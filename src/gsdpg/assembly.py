@@ -2,9 +2,10 @@
 
 All elements are built at once as stacked ``(T, ...)`` arrays, with no loop
 over elements: the dense rectangular matrices B_K (enriched test rows x
-local trial columns), the lower Cholesky factors L_K of the symmetric
-positive definite Gram matrices G_K of the broken test inner product, the
-physical quadrature points and weights, and the local-to-global DOF map.
+local trial columns) and the SPD Gram matrices G_K = L_K L_K^T of the broken
+test inner product.  G_K enters only through its inverse, so one triangular
+solve per element whitens B_K, and only L_K^{-1} B_K is kept, with the
+quadrature points and weights and the DOF map.
 Elements share the reference tables and differ only through their affine
 maps, edge orientations and the radius r at the quadrature points.  The
 source moments N_K, D_K, L_K of the nonlinear right-hand side are computed
@@ -14,6 +15,7 @@ for all elements with one call of each source function.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .basis import (
     default_edge_degree,
@@ -39,18 +41,22 @@ def _moments(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class ElementCache:
-    """Stacked element matrices and quadrature data of one mesh.
+    """Whitened element operators and quadrature data of one mesh.
 
     For T elements, n = test.nks test functions per component and nq volume
-    quadrature points:
+    quadrature points, with G_K = L_K L_K^T the Cholesky factorization of
+    the Gram matrix and E_tau the injection of tau moments into the test
+    rows:
 
-    - ``B``    (T, 3n, ncols): element matrices B_K;
-    - ``L``    (T, 3n, 3n): lower Cholesky factors of the Gram matrices G_K
-      (G_K itself is not kept);
+    - ``W``    (T, 3n, ncols): L_K^{-1} B_K;
+    - ``Z``    (T, n, n): tau block of L_K^{-1} E_tau (L_K is lower
+      triangular and the tau rows come last, so L_K^{-1} E_tau vanishes
+      above them);
     - ``pts``  (T, nq, 2) and ``w`` (T, nq): physical quadrature points and
       weights;
     - ``cols`` (T, ncols): local-to-global trial DOF map.
 
+    B_K, G_K and L_K are not kept; ``matrices()`` builds B_K and G_K again.
     Test rows are ordered (phi_r, phi_z, tau), trial columns as in
     ``TrialSpace.element_dofs``.
     """
@@ -69,25 +75,45 @@ class ElementCache:
         self.edg_rule = edge_rule(default_edge_degree(k, s))
 
         # reference tables shared by all elements
-        self.tv, tg_ref = test.basis.eval(self.vol_rule.points)
+        self.tv, _ = test.basis.eval(self.vol_rule.points)
         self.uv, _ = trial.q_basis.eval(self.vol_rule.points)
         self.n = test.nks
         self.nk = trial.nk
         self.n_cols = trial.n_local()
 
-        _, inv_T, det = mesh.geometry
+        _, _, det = mesh.geometry
         elements = np.arange(mesh.n_triangles)
         self.w = self.vol_rule.weights * det[:, None]
         self.pts = mesh.map_to_physical(elements, self.vol_rule.points)
         self.cols = trial.element_dofs(elements)
 
+        B, G = self.matrices()
+        L = self._cholesky(G)
+        del G  # freed before W is allocated
+        # per-element triangular solves on [B_K | E_tau] beat a stacked solve
+        n, nc = self.n, self.n_cols
+        tau = slice(2 * n, 3 * n)
+        self.W = W = np.empty_like(B)
+        self.Z = Z = np.empty((len(B), n, n))
+        rhs = np.zeros((3 * n, nc + n))
+        rhs[tau, nc:] = np.eye(n)
+        for t in range(len(B)):
+            rhs[:, :nc] = B[t]
+            X = solve_triangular(L[t], rhs, lower=True, check_finite=False)
+            W[t] = X[:, :nc]
+            Z[t] = X[tau, nc:]
+
+    # -- element matrices ----------------------------------------------
+
+    def matrices(self):
+        """Stacked element matrices B (T, 3n, ncols) and Gram matrices
+        G (T, 3n, 3n), built from the quadrature definitions."""
+        _, inv_T, _ = self.mesh.geometry
+        _, tg_ref = self.test.basis.eval(self.vol_rule.points)
         # physical test gradients: g_a[t, q, i] = inv_T[t, a, b] g_ref[q, i, b]
         gx = np.einsum("tb,qib->tqi", inv_T[:, 0], tg_ref)
         gy = np.einsum("tb,qib->tqi", inv_T[:, 1], tg_ref)
-        self.B = self._element_matrices(gx, gy)
-        self.L = self._cholesky(self._gram(gx, gy))
-
-    # -- element matrices ----------------------------------------------
+        return self._element_matrices(gx, gy), self._gram(gx, gy)
 
     def _element_matrices(self, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
         n, nk = self.n, self.nk
@@ -155,7 +181,7 @@ class ElementCache:
         return B
 
     def _gram(self, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
-        """Stacked Gram matrices; only the lower block triangle is filled."""
+        """Stacked symmetric Gram matrices."""
         n, tv, w = self.n, self.tv, self.w
         M = _moments(tv, w, tv)
         Kxx = _moments(gx, w, gx)
@@ -165,6 +191,7 @@ class ElementCache:
         blk = [slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)]
         # ||div phi||^2 plus the L2 mass of each component, in both norms
         G[:, blk[0], blk[0]] = M + Kxx
+        G[:, blk[0], blk[1]] = Kxy
         G[:, blk[1], blk[0]] = np.swapaxes(Kxy, 1, 2)
         G[:, blk[1], blk[1]] = M + Kyy
         # ||grad tau||^2: standard, or ||r phi - grad tau||^2: adjoint graph
@@ -176,6 +203,7 @@ class ElementCache:
             G[:, blk[1], blk[1]] += R2
             G[:, blk[2], blk[0]] = -_moments(gx, wr, tv)
             G[:, blk[2], blk[1]] = -_moments(gy, wr, tv)
+            G[:, :2 * n, blk[2]] = np.swapaxes(G[:, blk[2], :2 * n], 1, 2)
         return G
 
     @staticmethod
@@ -211,10 +239,6 @@ class ElementCache:
         r, z = self.pts[..., 0], self.pts[..., 1]
         fl = _finite("F_L", problem.f_lin(r, z), r, z)
         return np.einsum("qi,tq->ti", self.tv, self.w * fl / r)
-
-    def gram_dense(self, t: int) -> np.ndarray:
-        """Reconstruct G_K from its Cholesky factor (test/diagnostic use)."""
-        return self.L[t] @ self.L[t].T
 
 
 def _finite(label: str, values, r: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -4,10 +4,10 @@ Holds the stacked element arrays, the trial-space vector layout, the normal
 operator A = J^T G^{-1} B_L with its nonlinear-source corrections, the
 right-hand sides of the fixed-point map, and the energy residual
 r^T G^{-1} r used both as the solver objective and as the refinement
-estimator.  Every Gram inverse enters through the Cholesky factors
-G_K = L_K L_K^T as W_K = L_K^{-1} B_K and Z_K = L_K^{-1} E_tau, E_tau the
-injection of tau moments into the test rows, so all element products are
-stacked ``(T, ...)`` array operations.
+estimator.  Every Gram inverse enters through the whitened element stacks
+W_K = L_K^{-1} B_K and Z_K = L_K^{-1} E_tau of ``ElementCache``, with
+G_K = L_K L_K^T and E_tau the injection of tau moments into the test rows,
+so all element products are stacked ``(T, ...)`` array operations.
 
 The direct linearized solve condenses the interior fields element by
 element and solves the skeleton (trace) system.  Within one nonlinear solve
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import solve_triangular
 
 from .assembly import STANDARD, ElementCache
 from .krylov import KrylovParams, krylov_solve
@@ -71,33 +70,15 @@ class GlobalState:
         n = self.test.nks
         self._tau = slice(2 * n, 3 * n)
         self._c_psi = slice(2 * self.trial.nk, 3 * self.trial.nk)
-        # stacked whitened operators, so the per-iteration work is batched:
-        #   W     : L^{-1} B                        (T, 3 nks, ncols)
-        #   Z     : tau block of L^{-1} E_tau       (T, nks, nks)
-        #           (L is lower triangular and tau rows come last, so
-        #           L^{-1} E_tau vanishes above them)
+        # batched products of the cache's whitened stacks W and Z:
         #   P_tau : B^T G^{-1} E_tau = W^T Z        (T, ncols, nks)
         #   Gtt   : E_tau^T G^{-1} E_tau = Z^T Z    (T, nks, nks)
-        self.W, self.Z = self._whiten()
-        self.P_tau = np.swapaxes(self.W[:, self._tau], 1, 2) @ self.Z
-        self.Gtt = np.swapaxes(self.Z, 1, 2) @ self.Z
+        W, Z = self.cache.W, self.cache.Z
+        self.P_tau = np.swapaxes(W[:, self._tau], 1, 2) @ Z
+        self.Gtt = np.swapaxes(Z, 1, 2) @ Z
         self.L = self.cache.linear_source(problem)      # F_L moments (T, nks)
         self._A0 = None
         self._A0_el = None
-
-    def _whiten(self):
-        c = self.cache
-        n, nc = self.test.nks, c.n_cols
-        W = np.empty_like(c.B)
-        Z = np.empty((len(W), n, n))
-        rhs = np.zeros((3 * n, nc + n))
-        rhs[self._tau, nc:] = np.eye(n)
-        for t in range(len(W)):
-            rhs[:, :nc] = c.B[t]
-            X = solve_triangular(c.L[t], rhs, lower=True, check_finite=False)
-            W[t] = X[:, :nc]
-            Z[t] = X[self._tau, nc:]
-        return W, Z
 
     # -- trial vector helpers ------------------------------------------
 
@@ -131,18 +112,10 @@ class GlobalState:
         _, psi_c = self.interior_coeffs(U)
         return self.cache.source_moments(psi_c @ self.cache.uv.T, self.problem)
 
-    def residual_elements(self, U: np.ndarray, N: np.ndarray | None = None) -> np.ndarray:
-        """(T, 3*nks) array of element test-space residuals."""
-        if N is None:
-            N, _ = self.sources(U)
-        r = np.einsum("tij,tj->ti", self.cache.B, U[self.cache.cols])
-        r[:, self._tau] -= N + self.L
-        return r
-
     def _whitened_residual(self, U: np.ndarray, N: np.ndarray) -> np.ndarray:
         """L^{-1} r per element: W u - Z (N + F_L) on the tau rows."""
-        y = np.einsum("tij,tj->ti", self.W, U[self.cache.cols])
-        y[:, self._tau] -= np.einsum("tij,tj->ti", self.Z, N + self.L)
+        y = np.einsum("tij,tj->ti", self.cache.W, U[self.cache.cols])
+        y[:, self._tau] -= np.einsum("tij,tj->ti", self.cache.Z, N + self.L)
         return y
 
     def energy_residual(self, U: np.ndarray):
@@ -157,7 +130,8 @@ class GlobalState:
     def element_static_blocks(self) -> np.ndarray:
         """Stacked (T, ncols, ncols) per-element blocks of B_L^T G^{-1} B_L."""
         if self._A0_el is None:
-            self._A0_el = np.swapaxes(self.W, 1, 2) @ self.W
+            W = self.cache.W
+            self._A0_el = np.swapaxes(W, 1, 2) @ W
         return self._A0_el
 
     def normal_matrix_static(self) -> sp.csr_matrix:
@@ -222,10 +196,10 @@ class GlobalState:
         key = np.where(ff, fidx[cols] * n_f + fidx[rows], n_f * n_f)
         keys = np.sort(key[ff])
         keys = keys[np.diff(keys, prepend=-1) > 0]
-        slot = np.searchsorted(keys, key)
+        slot = np.searchsorted(keys, key).astype(np.int32)
         g = np.zeros(n_t)
         g[self.bdata.dofs - off] = self.bdata.values
-        coupling = np.nonzero(free_t[rows] & ~free_t[cols])[0]
+        coupling = np.nonzero(free_t[rows] & ~free_t[cols])[0].astype(np.int32)
         return _TracePattern(
             slot=slot,
             indices=(keys % n_f).astype(np.int32),

@@ -66,8 +66,17 @@ def random_iterate(state, seed=0, scale=0.1):
 
 
 def global_gram(state):
-    blocks = [state.cache.gram_dense(t) for t in range(state.mesh.n_triangles)]
-    return sp.block_diag(blocks, format="csc")
+    return sp.block_diag(list(state.cache.matrices()[1]), format="csc")
+
+
+def residual_elements(state, U):
+    """(T, 3*nks) element test-space residuals B_K u_K minus the source
+    moments on the tau rows, from the unwhitened element matrices."""
+    B, _ = state.cache.matrices()
+    N, _ = state.sources(U)
+    r = np.einsum("tij,tj->ti", B, U[state.cache.cols])
+    r[:, state._tau] -= N + state.L
+    return r
 
 
 def free_dofs(state):
@@ -266,14 +275,15 @@ def test_residual_jacobian_matches_fd(name, res, k):
     V = rng.standard_normal(st.n_total)
     V[st.bdata.dofs] = 0.0
     eps = 1e-7
-    rp = st.residual_elements(st.apply_boundary(U + eps * V)).ravel()
-    rm = st.residual_elements(st.apply_boundary(U - eps * V)).ravel()
+    rp = residual_elements(st, st.apply_boundary(U + eps * V)).ravel()
+    rm = residual_elements(st, st.apply_boundary(U - eps * V)).ravel()
     fd = (rp - rm) / (2 * eps)
     _, D = st.sources(U)
+    B, _ = st.cache.matrices()
     n = st.test.nks
     want = np.zeros_like(fd)
     for t in range(st.mesh.n_triangles):
-        jv = st.cache.B[t] @ V[st.cache.cols[t]]
+        jv = B[t] @ V[st.cache.cols[t]]
         jv[st._tau] -= D[t] @ V[st.trial.psi_dofs(t)]
         want[3 * n * t: 3 * n * (t + 1)] = jv
     denom = max(1.0, float(np.abs(want).max()))
@@ -289,16 +299,17 @@ def test_estimator_identity_and_per_element_consistency():
     st = GlobalState(build_builtin_mesh(prob.boundary, (4, 4)), prob, k=2)
     U = random_iterate(st, seed=9)
     total, ind = st.energy_residual(U)
-    r = st.residual_elements(U).ravel()
+    r = residual_elements(st, U).ravel()
     G = global_gram(st)
     want = float(r @ spla.spsolve(G, r))
     assert abs(total**2 - want) <= 1e-12 * want
     # per-element: E_K^2 = r_K^T G_K^{-1} r_K through an independent
     # dense solve of the element Gram
     n = st.test.nks
+    _, G_el = st.cache.matrices()
     for t in range(st.mesh.n_triangles):
         r_K = r[3 * n * t: 3 * n * (t + 1)]
-        e2 = float(r_K @ np.linalg.solve(st.cache.gram_dense(t), r_K))
+        e2 = float(r_K @ np.linalg.solve(G_el[t], r_K))
         assert abs(ind[t]**2 - e2) <= 1e-12 * max(e2, 1e-30)
     assert abs(total**2 - np.sum(ind**2)) <= 1e-12 * total**2
 

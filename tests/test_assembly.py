@@ -9,6 +9,8 @@ from gsdpg.assembly import (
 )
 from gsdpg.basis import triangle_rule
 from gsdpg.mesh import Mesh, build_builtin_mesh, rectangle_curve
+from scipy.linalg import solve_triangular
+
 from gsdpg.problems import get_problem, solovev_problem
 from gsdpg.spaces import _REF_VERTS, TestSpace, TrialSpace
 from gsdpg.system import GlobalState
@@ -124,10 +126,26 @@ class TestStackedKernel:
     @pytest.mark.parametrize("k,norm", KERNEL_CASES)
     def test_matches_loop_reference(self, jittered_mesh, k, norm):
         cache, _, _ = make_cache(jittered_mesh, k=k, norm=norm)
+        B_all, G_all = cache.matrices()
         for t in range(jittered_mesh.n_triangles):
             B, G = reference_element(cache, t)
-            assert np.abs(cache.B[t] - B).max() <= 1e-13 * np.abs(B).max()
-            assert np.abs(cache.gram_dense(t) - G).max() <= 1e-13 * np.abs(G).max()
+            assert np.abs(B_all[t] - B).max() <= 1e-13 * np.abs(B).max()
+            assert np.abs(G_all[t] - G).max() <= 1e-13 * np.abs(G).max()
+
+    @pytest.mark.parametrize("k,norm", KERNEL_CASES)
+    def test_whitening_matches_per_element_reference(self, jittered_mesh, k, norm):
+        """W = L^{-1} B and Z = tau block of L^{-1} E_tau, bit for bit as
+        one Cholesky factorization and triangular solve per element."""
+        cache, _, test = make_cache(jittered_mesh, k=k, norm=norm)
+        B, G = cache.matrices()
+        n, nc = test.nks, cache.n_cols
+        E_tau = np.zeros((3 * n, n))
+        E_tau[2 * n:] = np.eye(n)
+        for t in range(jittered_mesh.n_triangles):
+            X = solve_triangular(np.linalg.cholesky(G[t]), np.hstack([B[t], E_tau]),
+                                 lower=True, check_finite=False)
+            assert np.array_equal(cache.W[t], X[:, :nc])
+            assert np.array_equal(cache.Z[t], X[2 * n:, nc:])
 
     @pytest.mark.parametrize("k,norm", KERNEL_CASES)
     def test_whitened_blocks_match_gram_solve(self, jittered_mesh, k, norm):
@@ -140,7 +158,7 @@ class TestStackedKernel:
 
     def test_failing_element_is_named(self, jittered_mesh):
         cache, _, _ = make_cache(jittered_mesh, k=1)
-        G = np.stack([cache.gram_dense(t) for t in range(4)])
+        G = cache.matrices()[1][:4]
         G[2] *= -1.0
         G[3] *= -1.0
         with pytest.raises(RuntimeError, match="Gram Cholesky failed on element 2$"):
@@ -162,7 +180,7 @@ class TestElementMatrix:
             return np.array([0.5 * r + z * z, r * z - 0.25 * z])
 
         u = interpolate_element_vector(cache, trial, t, psi, q)
-        got = cache.B[t] @ u
+        got = cache.matrices()[0][t] @ u
 
         rule = triangle_rule(2 * test.order + 6)
         tv, tg_ref = test.basis.eval(rule.points)
@@ -218,7 +236,7 @@ class TestGram:
         mesh = small_mesh()
         cache, _, test = make_cache(mesh, k=1, s=2)
         for t in [0, 2]:
-            G = cache.gram_dense(t)
+            G = cache.matrices()[1][t]
             want = self.brute_force_standard_gram(mesh, test, t)
             scale = np.abs(want).max()
             assert np.abs(G - want).max() < 1e-12 * scale
@@ -227,14 +245,13 @@ class TestGram:
         cache, _, _ = make_cache(small_mesh(), k=1, s=2)
         for norm in (STANDARD, ADJOINT_GRAPH):
             cache2, _, _ = make_cache(small_mesh(), k=1, s=2, norm=norm)
-            for t in range(cache2.mesh.n_triangles):
-                w = np.linalg.eigvalsh(cache2.gram_dense(t))
-                assert w.min() > 0
+            for G in cache2.matrices()[1]:
+                assert np.linalg.eigvalsh(G).min() > 0
 
     def test_adjoint_graph_differs_and_couples_blocks(self):
         c_std, _, test = make_cache(small_mesh(), k=1, s=2, norm=STANDARD)
         c_ag, _, _ = make_cache(small_mesh(), k=1, s=2, norm=ADJOINT_GRAPH)
-        G1, G2 = c_std.gram_dense(0), c_ag.gram_dense(0)
+        G1, G2 = c_std.matrices()[1][0], c_ag.matrices()[1][0]
         assert np.abs(G1 - G2).max() > 1e-3
         n = test.nks
         # the graph norm couples the vector part with tau

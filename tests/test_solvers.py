@@ -6,7 +6,7 @@ import scipy.sparse.linalg as spla
 
 import gsdpg.system
 from gsdpg.assembly import SourceEvaluationError
-from gsdpg.mesh import build_builtin_mesh, rectangle_curve
+from gsdpg.mesh import bisect_conforming, build_builtin_mesh, rectangle_curve
 from gsdpg.problems import get_problem
 from gsdpg.solvers import (
     AndersonParams,
@@ -410,3 +410,35 @@ class TestTraceCacheLifetime:
         assert seen["splu"] == 1 and seen["solves"] > 1
         assert seen["maps"][0].trace_cache == {}
 
+
+class TestDeepCornerRefinement:
+    """rect-amr, 8x8, k=2, with the element nearest (1.6, 0.75) bisected
+    again and again: the Gram matrices of the tiny elements grow
+    ill-conditioned like 1/area.  Each depth ends in a correct answer or a
+    clear error."""
+
+    @staticmethod
+    def refined(generations):
+        prob = get_problem("rect-amr")
+        mesh = build_builtin_mesh(prob.boundary, (8, 8))
+        for _ in range(generations):
+            c = mesh.vertices[mesh.triangles].mean(axis=1)
+            mesh = bisect_conforming(mesh, [np.argmin(np.hypot(c[:, 0] - 1.6, c[:, 1] - 0.75))])
+        return prob, mesh
+
+    def test_thirty_generations_converge(self):
+        prob, mesh = self.refined(30)
+        assert mesh.n_triangles == 187
+        st = GlobalState(mesh, prob, k=2)
+        res = solve_nonlinear(st)
+        assert res.converged and res.iterations == 5
+        assert st.energy_residual(res.U)[0] == pytest.approx(8.852253e-5, rel=1e-6)
+
+    def test_forty_generations_name_the_failing_element(self):
+        prob, mesh = self.refined(40)
+        assert mesh.n_triangles == 207
+        with pytest.raises(RuntimeError, match=r"^Gram Cholesky failed on element \d+$") as err:
+            GlobalState(mesh, prob, k=2)
+        # the named element is one of the deepest, a billionth of the largest
+        det = np.abs(mesh.geometry[2])
+        assert det[int(str(err.value).split()[-1])] < 1e-9 * det.max()

@@ -118,7 +118,7 @@ class TestTestSpace:
         assert ts.nks == nks
         assert ts.n_element == 3 * nks
         cache = ElementCache(m, TrialSpace(m, 2), ts)
-        assert cache.B.shape[:2] == (m.n_triangles, ts.n_element)
+        assert cache.W.shape[:2] == (m.n_triangles, ts.n_element)
 
     def test_enrichment_lower_bound(self):
         with pytest.raises(ValueError):
@@ -128,7 +128,7 @@ class TestTestSpace:
         # the stacked B_K keep each element's test rows under its own index
         m = small_rect()
         ts = TestSpace(m, 1, 2)
-        B = ElementCache(m, TrialSpace(m, 1), ts).B
+        B, _ = ElementCache(m, TrialSpace(m, 1), ts).matrices()
         rows = np.arange(B.shape[0] * B.shape[1]).reshape(B.shape[:2])
         all_rows = np.concatenate([rows[t] for t in range(m.n_triangles)])
         assert np.array_equal(np.sort(all_rows), np.arange(m.n_triangles * ts.n_element))

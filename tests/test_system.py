@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import solve_triangular
 
 import gsdpg.system
 from gsdpg.assembly import SourceEvaluationError
 from gsdpg.basis import default_volume_degree, triangle_rule
 from gsdpg.mesh import build_builtin_mesh, rectangle_curve
 from gsdpg.problems import get_problem
+from gsdpg.solvers import solve_nonlinear
 from gsdpg.system import GlobalState
 
 
@@ -32,8 +32,17 @@ def random_iterate(state, seed=0, scale=0.1):
 
 
 def global_gram(state):
-    blocks = [state.cache.gram_dense(t) for t in range(state.mesh.n_triangles)]
-    return sp.block_diag(blocks, format="csc")
+    return sp.block_diag(list(state.cache.matrices()[1]), format="csc")
+
+
+def residual_elements(state, U):
+    """(T, 3*nks) element test-space residuals B_K u_K minus the source
+    moments on the tau rows, from the unwhitened element matrices."""
+    B, _ = state.cache.matrices()
+    N, _ = state.sources(U)
+    r = np.einsum("tij,tj->ti", B, U[state.cache.cols])
+    r[:, state._tau] -= N + state.L
+    return r
 
 
 class TestResidualAndEnergy:
@@ -41,7 +50,7 @@ class TestResidualAndEnergy:
         """E_total^2 equals r^T G^{-1} r with the block-diagonal Gram
         assembled and solved globally (independent route)."""
         U = random_iterate(nl_state, seed=1)
-        r = nl_state.residual_elements(U).ravel()
+        r = residual_elements(nl_state, U).ravel()
         G = global_gram(nl_state)
         want = float(r @ spla.spsolve(G, r))
         total, per_el = nl_state.energy_residual(U)
@@ -53,13 +62,38 @@ class TestResidualAndEnergy:
         assert np.all(per_el >= 0)
 
     def test_riesz_representative_solves_gram_system(self, nl_state):
-        t = 3
-        rng = np.random.default_rng(3)
-        r_K = rng.standard_normal(3 * nl_state.test.nks)
-        # G_K = L_K L_K^T with the stacked Cholesky factor of the state
-        L = nl_state.cache.L[t]
-        y = solve_triangular(L.T, solve_triangular(L, r_K, lower=True), lower=False)
-        assert np.abs(nl_state.cache.gram_dense(t) @ y - r_K).max() < 1e-9
+        """The whitened products of the state, P_tau = B^T G^{-1} E_tau and
+        Gtt = E_tau^T G^{-1} E_tau, equal the Riesz representatives
+        G_K^{-1} E_tau of the tau moments from a dense Gram solve."""
+        st = nl_state
+        n = st.test.nks
+        B, G = st.cache.matrices()
+        E_tau = np.zeros((3 * n, n))
+        E_tau[st._tau] = np.eye(n)
+        for t in (0, 3):
+            y = np.linalg.solve(G[t], E_tau)
+            assert np.abs(G[t] @ y - E_tau).max() < 1e-9
+            assert np.abs(st.P_tau[t] - B[t].T @ y).max() < 1e-9 * np.abs(st.P_tau[t]).max()
+            assert np.abs(st.Gtt[t] - y[st._tau]).max() < 1e-9 * np.abs(st.Gtt[t]).max()
+
+
+class TestRetainedMemory:
+    def test_solved_state_keeps_only_whitened_stacks(self):
+        """After a solve, the ndarrays a state and its element cache hold
+        come to at most 40 KB per element at k=2 (B_K and L_K kept beside
+        W would make 66 KB), and no (T, 3n, 3n) Gram-sized stack is kept."""
+        prob = get_problem("manufactured")
+        st = GlobalState(build_builtin_mesh(prob.boundary, (8, 4)), prob, k=2)
+        assert solve_nonlinear(st).converged
+        T, n = st.mesh.n_triangles, st.test.nks
+        held = {}
+        for obj in (st, st.cache):
+            for a in vars(obj).values():
+                if isinstance(a, np.ndarray):
+                    base = a if a.base is None else a.base
+                    held[id(base)] = base
+        assert not [a.shape for a in held.values() if a.shape == (T, 3 * n, 3 * n)]
+        assert sum(a.nbytes for a in held.values()) / T <= 40e3
 
 
 class TestLinearSource:
@@ -95,10 +129,11 @@ class TestNormalOperator:
         nk = st.trial.nk
         c_psi = slice(2 * nk, 3 * nk)
         tau = st._tau
+        B_all, G_all = st.cache.matrices()
         for t in range(st.mesh.n_triangles):
-            B = st.cache.B[t]
+            B = B_all[t]
             cols = st.cache.cols[t]
-            y = np.linalg.solve(st.cache.gram_dense(t), B @ v[cols])
+            y = np.linalg.solve(G_all[t], B @ v[cols])
             loc = B.T @ y
             loc[c_psi] -= D[t].T @ y[tau]
             np.add.at(want, cols, loc)
@@ -125,16 +160,17 @@ class TestNormalOperator:
         V = rng.standard_normal(st.n_total)
         V[st.bdata.dofs] = 0.0
         eps = 1e-7
-        rp = st.residual_elements(st.apply_boundary(U + eps * V)).ravel()
-        rm = st.residual_elements(st.apply_boundary(U - eps * V)).ravel()
+        rp = residual_elements(st, st.apply_boundary(U + eps * V)).ravel()
+        rm = residual_elements(st, st.apply_boundary(U - eps * V)).ravel()
         fd = (rp - rm) / (2 * eps)
         _, D = st.sources(U)
+        B, _ = st.cache.matrices()
         want = np.zeros_like(fd)
         n = st.test.nks
         nk = st.trial.nk
         for t in range(st.mesh.n_triangles):
             cols = st.cache.cols[t]
-            jv = st.cache.B[t] @ V[cols]
+            jv = B[t] @ V[cols]
             jv[st._tau] -= D[t] @ V[st.trial.psi_dofs(t)]
             want[3 * n * t: 3 * n * (t + 1)] = jv
         assert np.abs(fd - want).max() < 1e-6
@@ -204,6 +240,13 @@ class TestLaggedTraceSolve:
             assert np.abs(got - want).max() < 1e-10 * np.abs(want).max()
         assert len(splu) == 1
         assert set(cache) == {"pattern", "lu"}
+
+    def test_pattern_maps_are_32_bit(self, nl_state):
+        cache = {}
+        N, D = self.iterates(nl_state)[0]
+        nl_state.solve_linearized(N, D, cache=cache)
+        p = cache["pattern"]
+        assert {a.dtype for a in (p.slot, p.coupling, p.indices, p.indptr)} == {np.dtype(np.int32)}
 
     def test_refactors_when_gmres_misses_its_cap(self, nl_state, monkeypatch):
         st = nl_state

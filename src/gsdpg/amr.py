@@ -144,8 +144,11 @@ def amr_loop(problem, mesh: Mesh, k: int, s: int = 2,
              anderson: AndersonParams | None = None,
              norm: str = "standard"):
     """Solve / estimate / mark / refine until nothing is marked or a budget
-    is hit.  Returns (final_state, final_U, AmrReport)."""
+    is hit.  Returns (final_state, final_U, AmrReport); ``ValueError`` if
+    the budget allows no solve at all (``max_iters < 1``)."""
     p = params or AmrParams()
+    if p.max_iters < 1:
+        raise ValueError(f"AMR iteration budget max_iters must be >= 1, got {p.max_iters}")
     report = AmrReport()
     state = GlobalState(mesh, problem, k, s=s, norm=norm)
     U0 = U = None

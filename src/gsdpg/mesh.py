@@ -4,6 +4,13 @@ A mesh stores counterclockwise triangles, the edge skeleton with a global
 normal convention, and the bookkeeping needed for newest-vertex bisection.
 Meshes are immutable after construction; refinement returns a new mesh that
 remembers its parent elements so solutions can be transferred.
+
+All element data are stacked arrays.  The skeleton numbers edges by sorting
+integer vertex-pair keys; the built-in meshers, red refinement and
+newest-vertex bisection build their triangles by index arithmetic.
+Bisection closes the marking as a fixed point over edge flags and cuts each
+element by one of a few fixed patterns (Funken, Praetorius and Wissgott,
+"Efficient implementation of adaptive P1-FEM in Matlab", CMAM 2011).
 """
 
 from __future__ import annotations
@@ -134,31 +141,25 @@ class Mesh:
     # -- skeleton -------------------------------------------------------
 
     def _build_skeleton(self):
+        # local edge le joins vertices le+1 and le+2 (it is opposite vertex le);
+        # edges are numbered in order of first appearance over (triangle, le)
         t = self.triangles
-        edge_map: dict[tuple[int, int], int] = {}
-        edge_list: list[tuple[int, int]] = []
-        edge_tris: list[list[int]] = []
-        tri_edges = np.empty((len(t), 3), dtype=int)
-        for ti in range(len(t)):
-            for le in range(3):
-                a, b = t[ti, (le + 1) % 3], t[ti, (le + 2) % 3]
-                key = (a, b) if a < b else (b, a)
-                ei = edge_map.get(key)
-                if ei is None:
-                    ei = len(edge_list)
-                    edge_map[key] = ei
-                    edge_list.append(key)
-                    edge_tris.append([])
-                if len(edge_tris[ei]) >= 2:
-                    raise MeshError(f"edge {key} adjacent to more than 2 triangles")
-                edge_tris[ei].append(ti)
-                tri_edges[ti, le] = ei
-        self.edges = np.array(edge_list, dtype=int)
-        self.edge_tris = np.array(
-            [[et[0], et[1] if len(et) == 2 else -1] for et in edge_tris], dtype=int
-        )
+        a, b = t[:, [1, 2, 0]].ravel(), t[:, [2, 0, 1]].ravel()
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        _, first, inv, count = np.unique(lo * len(self.vertices) + hi, return_index=True,
+                                         return_inverse=True, return_counts=True)
+        if count.max(initial=0) > 2:
+            bad = first[count > 2].min()
+            raise MeshError(f"edge {(int(lo[bad]), int(hi[bad]))} "
+                            "adjacent to more than 2 triangles")
+        order = np.argsort(first)
+        edge = np.argsort(order)[inv]
+        slot = np.arange(len(edge))
+        self.edges = np.column_stack([lo[first[order]], hi[first[order]]])
+        self.edge_tris = np.full((len(order), 2), -1)
+        self.edge_tris[edge, (slot != first[inv]).astype(int)] = slot // 3
         self.boundary_edge_flags = self.edge_tris[:, 1] < 0
-        self.tri_edges = tri_edges
+        self.tri_edges = edge.reshape(t.shape)
         # orientation sign: +1 for the smaller-index adjacent triangle
         self.tri_edge_sign = np.where(
             self.edge_tris[:, 0][self.tri_edges] == np.arange(len(t))[:, None], 1, -1
@@ -414,20 +415,15 @@ def _rectangle_mesh(curve: BoundaryCurve, nx: int, ny: int) -> Mesh:
     r1, z1 = corners.max(axis=0)
     rs = np.linspace(r0, r1, nx + 1)
     zs = np.linspace(z0, z1, ny + 1)
-    vid = lambda i, j: j * (nx + 1) + i
-    verts = np.array([[r, z] for z in zs for r in rs])
-    tris = []
-    for j in range(ny):
-        for i in range(nx):
-            c00, c10 = vid(i, j), vid(i + 1, j)
-            c01, c11 = vid(i, j + 1), vid(i + 1, j + 1)
-            if zs[j] + zs[j + 1] <= 2.0 * (z0 + z1) / 2.0 + 1e-15:
-                tris.append((c00, c10, c11))
-                tris.append((c00, c11, c01))
-            else:  # mirrored diagonal keeps the mesh symmetric about the midline
-                tris.append((c00, c10, c01))
-                tris.append((c10, c11, c01))
-    return Mesh(verts, np.array(tris, dtype=int))
+    verts = np.column_stack([np.tile(rs, ny + 1), np.repeat(zs, nx + 1)])
+    j, i = np.divmod(np.arange(nx * ny), nx)
+    c00 = j * (nx + 1) + i
+    quad = np.column_stack([c00, c00 + 1, c00 + nx + 1, c00 + nx + 2])  # c00 c10 c01 c11
+    # the diagonal is mirrored above the midline to keep the mesh symmetric
+    lower = zs[:-1] + zs[1:] <= 2.0 * (z0 + z1) / 2.0 + 1e-15
+    tris = np.where(lower[j, None, None], quad[:, [[0, 1, 3], [0, 3, 2]]],
+                    quad[:, [[0, 1, 2], [1, 3, 2]]])
+    return Mesh(verts, tris.reshape(-1, 3))
 
 
 def _star_mesh(curve: BoundaryCurve, n_angular: int, n_radial: int) -> Mesh:
@@ -445,21 +441,13 @@ def _star_mesh(curve: BoundaryCurve, n_angular: int, n_radial: int) -> Mesh:
         f = 1.0 - j / n_radial
         verts.append(centroid + f * (bd - centroid))
     verts = np.vstack(verts + [centroid[None, :]])
-    center = len(verts) - 1
+    # ring j holds vertices j*n .. j*n+n-1; the centroid is the last vertex
     n = n_angular
-    tris = []
-    for j in range(n_radial - 1):
-        for i in range(n):
-            a0 = j * n + i
-            a1 = j * n + (i + 1) % n
-            b0 = (j + 1) * n + i
-            b1 = (j + 1) * n + (i + 1) % n
-            tris.append((a0, a1, b1))
-            tris.append((a0, b1, b0))
-    j = n_radial - 1
-    for i in range(n):
-        tris.append((j * n + i, j * n + (i + 1) % n, center))
-    return Mesh(verts, np.array(tris, dtype=int))
+    ring = n * np.arange(n_radial)[:, None]
+    a0, a1 = ring + np.arange(n), ring + (np.arange(n) + 1) % n
+    band = np.stack([a0, a1, a1 + n, a0, a1 + n, a0 + n], axis=-1)[:-1]
+    cap = np.column_stack([a0[-1], a1[-1], np.full(n, len(verts) - 1)])
+    return Mesh(verts, np.vstack([band.reshape(-1, 3), cap]))
 
 
 def _polygon_centroid(p: np.ndarray) -> np.ndarray:
@@ -474,131 +462,84 @@ def _polygon_centroid(p: np.ndarray) -> np.ndarray:
 
 
 def uniform_refine(mesh: Mesh) -> Mesh:
-    """Red refinement: split every triangle into 4 via edge midpoints."""
-    v = mesh.vertices
-    e = mesh.edges
-    mids = 0.5 * (v[e[:, 0]] + v[e[:, 1]])
-    verts = np.vstack([v, mids])
-    mid_id = mesh.n_vertices + np.arange(mesh.n_edges)
-    tris = []
-    parents = []
-    for ti in range(mesh.n_triangles):
-        v0, v1, v2 = mesh.triangles[ti]
-        m0 = mid_id[mesh.tri_edges[ti, 0]]  # midpoint of edge opposite v0
-        m1 = mid_id[mesh.tri_edges[ti, 1]]
-        m2 = mid_id[mesh.tri_edges[ti, 2]]
-        tris.extend([(v0, m2, m1), (v1, m0, m2), (v2, m1, m0), (m0, m1, m2)])
-        parents.extend([ti] * 4)
-    gen = np.repeat(mesh.generation + 1, 4)
-    out = Mesh(verts, np.array(tris, dtype=int), generation=gen,
-               parent_elements=np.array(parents, dtype=int))
-    return out
+    """Red refinement: split every triangle into 4 via edge midpoints.
+
+    The children of triangle t are 4t .. 4t+3: one at each vertex, in
+    vertex order, then the middle one.
+    """
+    v, e = mesh.vertices, mesh.edges
+    verts = np.vstack([v, 0.5 * (v[e[:, 0]] + v[e[:, 1]])])
+    # columns v0 v1 v2 m0 m1 m2, with m_i the midpoint of the edge opposite v_i
+    corners = np.hstack([mesh.triangles, mesh.n_vertices + mesh.tri_edges])
+    tris = corners[:, [[0, 5, 4], [1, 3, 5], [2, 4, 3], [3, 4, 5]]].reshape(-1, 3)
+    return Mesh(verts, tris, generation=np.repeat(mesh.generation + 1, 4),
+                parent_elements=np.repeat(np.arange(mesh.n_triangles), 4))
+
+
+# Newest-vertex bisection patterns.  With an element rotated to (p, a, b),
+# ab its refinement edge, m, m_bp and m_pa the midpoints of ab, bp and pa,
+# the candidate children are, by column of [t0 t1 t2 p a b m m_bp m_pa]:
+# the element itself; its child [m, p, a] or that child's children
+# [m_pa, m, p], [m_pa, a, m]; its child [m, b, p] or that child's children
+# [m_bp, m, b], [m_bp, p, m].  A child's refinement edge is opposite its
+# newest vertex (local edge 0).
+_NVB_ROWS = np.array([[0, 1, 2], [6, 3, 4], [8, 6, 3], [8, 4, 6],
+                      [6, 5, 3], [7, 6, 5], [7, 3, 6]])
+_NVB_DEPTH = np.array([0, 1, 2, 2, 1, 2, 2])
 
 
 def bisect_conforming(mesh: Mesh, marked) -> Mesh:
-    """Newest-vertex bisection of ``marked`` triangles with recursive closure.
+    """Newest-vertex bisection of the ``marked`` triangles, closed to conformity.
 
-    Every marked triangle is split at least once; the closure keeps the
-    result conforming.  The returned mesh's parent_elements maps each child
-    to its originating triangle in ``mesh``.
+    Every marked triangle is split at least once.  The closure is a fixed
+    point over edges: a triangle with a cut edge cuts its refinement edge.
+    Each triangle is then kept, bisected once, or bisected and one or both
+    children bisected again, by which of its edges are cut.
+
+    Output numbering: children are grouped by parent in parent order; the
+    vertices of ``mesh`` come first, then one midpoint per cut edge in edge
+    order.  Callers may rely only on the geometry, ``refinement_edge``,
+    ``generation`` and ``parent_elements`` (each child's triangle in
+    ``mesh``), not on the numbering itself.
     """
-    marked = sorted(set(int(m) for m in marked))
-    if any(m < 0 or m >= mesh.n_triangles for m in marked):
+    marked = np.array(list(marked))
+    if marked.size and not np.issubdtype(marked.dtype, np.integer):
+        raise MeshError(f"marked elements must be integer indices, not {marked.dtype}")
+    if np.any((marked < 0) | (marked >= mesh.n_triangles)):
         raise MeshError("marked set contains an invalid triangle index")
-    if not marked:
-        out = Mesh(mesh.vertices.copy(), mesh.triangles.copy(),
-                   refinement_edge=mesh.refinement_edge.copy(),
-                   generation=mesh.generation.copy(),
-                   parent_elements=np.arange(mesh.n_triangles))
-        return out
+    if not marked.size:
+        return Mesh(mesh.vertices.copy(), mesh.triangles.copy(),
+                    refinement_edge=mesh.refinement_edge.copy(),
+                    generation=mesh.generation.copy(),
+                    parent_elements=np.arange(mesh.n_triangles))
 
-    verts = [tuple(p) for p in mesh.vertices]
-    tris = [list(t) for t in mesh.triangles]
-    refedge = list(mesh.refinement_edge)
-    gen = list(mesh.generation)
-    origin = list(range(mesh.n_triangles))
-    alive = [True] * mesh.n_triangles
-    midpoint: dict[tuple[int, int], int] = {}
-    edge_owner: dict[tuple[int, int], set[int]] = {}
-    for ti, t in enumerate(tris):
-        for le in range(3):
-            key = _ekey(t[(le + 1) % 3], t[(le + 2) % 3])
-            edge_owner.setdefault(key, set()).add(ti)
+    # rotate every element to (p, a, b); its edges are then (ab, bp, pa)
+    rot = (mesh.refinement_edge[:, None] + np.arange(3)) % 3
+    pab = np.take_along_axis(mesh.triangles, rot, axis=1)
+    edges = np.take_along_axis(mesh.tri_edges, rot, axis=1)
+    ref = edges[:, 0]
+    cut = np.zeros(mesh.n_edges, dtype=bool)
+    cut[ref[marked]] = True
+    while True:  # flags are only added, so this ends within n_edges rounds
+        need = cut[edges].any(axis=1) & ~cut[ref]
+        if not need.any():
+            break
+        cut[ref[need]] = True
 
-    max_depth = 2 * mesh.n_triangles + 100
-
-    def ref_key(ti):
-        t = tris[ti]
-        le = refedge[ti]
-        return _ekey(t[(le + 1) % 3], t[(le + 2) % 3])
-
-    def get_midpoint(key):
-        mid = midpoint.get(key)
-        if mid is None:
-            a, b = key
-            mid = len(verts)
-            verts.append((0.5 * (verts[a][0] + verts[b][0]), 0.5 * (verts[a][1] + verts[b][1])))
-            midpoint[key] = mid
-        return mid
-
-    def bisect_one(ti):
-        t = tris[ti]
-        le = refedge[ti]
-        p, a, b = t[le], t[(le + 1) % 3], t[(le + 2) % 3]
-        m = get_midpoint(_ekey(a, b))
-        for lle in range(3):
-            edge_owner[_ekey(t[(lle + 1) % 3], t[(lle + 2) % 3])].discard(ti)
-        alive[ti] = False
-        for child in ([m, p, a], [m, b, p]):
-            ci = len(tris)
-            tris.append(child)
-            refedge.append(0)  # refinement edge opposite the newest vertex m
-            gen.append(gen[ti] + 1)
-            origin.append(origin[ti])
-            alive.append(True)
-            for lle in range(3):
-                edge_owner.setdefault(
-                    _ekey(child[(lle + 1) % 3], child[(lle + 2) % 3]), set()
-                ).add(ci)
-
-    def ensure_bisect(t0):
-        stack = [t0]
-        while stack:
-            if len(stack) > max_depth:
-                raise MeshError("bisection closure exceeded depth bound "
-                                "(tangled refinement-edge assignment)")
-            ti = stack[-1]
-            if not alive[ti]:
-                stack.pop()
-                continue
-            key = ref_key(ti)
-            others = [o for o in edge_owner.get(key, ()) if o != ti and alive[o]]
-            nb = others[0] if others else None
-            if nb is not None and ref_key(nb) != key:
-                stack.append(nb)
-                continue
-            bisect_one(ti)
-            if nb is not None:
-                bisect_one(nb)
-            stack.pop()
-
-    for m in marked:
-        if alive[m]:
-            ensure_bisect(m)
-
-    keep = [i for i, al in enumerate(alive) if al]
+    v, e = mesh.vertices, mesh.edges[cut]
+    verts = np.vstack([v, 0.5 * (v[e[:, 0]] + v[e[:, 1]])])
+    mid = mesh.n_vertices + np.cumsum(cut) - 1
+    corners = np.hstack([mesh.triangles, pab, mid[edges]])
+    c_ab, c_bp, c_pa = cut[edges].T
+    keep = np.column_stack([~c_ab, c_ab & ~c_pa, c_pa, c_pa, c_ab & ~c_bp, c_bp, c_bp])
     out = Mesh(
-        np.array(verts),
-        np.array([tris[i] for i in keep], dtype=int),
-        refinement_edge=np.array([refedge[i] for i in keep], dtype=int),
-        generation=np.array([gen[i] for i in keep], dtype=int),
-        parent_elements=np.array([origin[i] for i in keep], dtype=int),
+        verts,
+        corners[:, _NVB_ROWS][keep],
+        refinement_edge=np.where(_NVB_DEPTH == 0, mesh.refinement_edge[:, None], 0)[keep],
+        generation=(mesh.generation[:, None] + _NVB_DEPTH)[keep],
+        parent_elements=np.nonzero(keep)[0],
     )
     rel = abs(out.total_area() - mesh.total_area()) / mesh.total_area()
     if rel > 1e-12:
         raise MeshError(f"bisection lost area (relative {rel:.2e})")
     return out
-
-
-def _ekey(a, b):
-    return (a, b) if a < b else (b, a)

@@ -233,12 +233,14 @@ def _mixing_weights(residuals: list[np.ndarray]) -> np.ndarray:
 def anderson_solve(fp_map, U0: np.ndarray, params: AndersonParams | None = None):
     """Anderson-accelerated Picard iteration on U - A(U) = 0.
 
-    With m = 0 and unit relaxation the iterates reduce to plain Picard.
-    Returns a SolveResult whose history holds ||R_k||_2 per iteration.  A
-    non-finite residual at iteration k stops the iteration unconverged,
-    returning the iterate before it.
+    With m = 0 and unit relaxation the iterates reduce to plain Picard; a
+    negative m raises ``ValueError``.  Returns a SolveResult whose history
+    holds ||R_k||_2 per iteration.  A non-finite residual at iteration k
+    stops the iteration unconverged, returning the iterate before it.
     """
     p = params or AndersonParams()
+    if p.m < 0:
+        raise ValueError(f"Anderson depth m must be >= 0, got {p.m}")
     U_hist: list[np.ndarray] = [np.asarray(U0, dtype=float)]
     A_hist: list[np.ndarray] = [fp_map(U_hist[0])]
     R_hist: list[np.ndarray] = [U_hist[0] - A_hist[0]]

@@ -191,3 +191,11 @@ class TestAmrLoop:
         params = AmrParams(max_iters=10, max_elements=40)
         _, _, report = amr_loop(prob, mesh, k=1, params=params)
         assert report.message == "element budget exhausted"
+
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_no_iteration_budget_rejected(self, max_iters):
+        # with no solve there is no final state to return
+        prob = get_problem("rect-amr")
+        mesh = build_builtin_mesh(prob.boundary, (3, 3))
+        with pytest.raises(ValueError, match="max_iters must be >= 1"):
+            amr_loop(prob, mesh, k=1, params=AmrParams(max_iters=max_iters))

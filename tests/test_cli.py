@@ -97,6 +97,13 @@ $EndElements
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: F_N non-finite on element ")
 
+    def test_negative_anderson_depth_exits_1(self, tmp_path, monkeypatch, capsys):
+        rc = run_in(tmp_path, monkeypatch, [
+            "solve", "-o", "problem=rect-amr", "-o", "k=1",
+            "-o", "resolution=3,3", "-o", "anderson_m=-1"])
+        assert rc == 1
+        assert "error: Anderson depth m must be >= 0, got -1" in capsys.readouterr().err
+
 
 class TestConvergeCommand:
     def test_writes_csv_with_orders(self, tmp_path, monkeypatch):
@@ -141,3 +148,12 @@ class TestAmrCommand:
         assert "(not converged)" in out
         assert "did not converge at AMR iteration(s) 0, 1" in err
         assert (tmp_path / "gsdpg_amr_history.csv").exists()
+
+    def test_zero_amr_iterations_exits_1(self, tmp_path, monkeypatch, capsys):
+        rc = run_in(tmp_path, monkeypatch, [
+            "amr", "-o", "problem=rect-amr", "-o", "k=1",
+            "-o", "resolution=3,3", "-o", "max_amr_iters=0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: AMR iteration budget max_iters must be >= 1, got 0" in err
+        assert not (tmp_path / "gsdpg_amr_history.csv").exists()

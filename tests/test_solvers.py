@@ -303,6 +303,13 @@ class TestAndersonScalarMap:
             assert res.iterations == bad_eval
         assert len(calls) < 20
 
+    def test_negative_depth_rejected(self):
+        calls = []
+        with pytest.raises(ValueError, match="m must be >= 0"):
+            anderson_solve(lambda x: calls.append(1) or np.cos(x), np.array([1.0]),
+                           AndersonParams(m=-1))
+        assert not calls
+
     def test_stagnation_stop(self):
         # constant map: second iterate equals the first, stagnation triggers
         params = AndersonParams(m=2, rtol=1e-30, atol=0.0, stol=1e-12,

@@ -77,6 +77,8 @@ class ElementCache:
         # reference tables shared by all elements
         self.tv, _ = test.basis.eval(self.vol_rule.points)
         self.uv, _ = trial.q_basis.eval(self.vol_rule.points)
+        # TU[q, i * nk + j] = tv[q, i] uv[q, j]: the D moments are one GEMM
+        self.TU = (self.tv[:, :, None] * self.uv[:, None, :]).reshape(len(self.tv), -1)
         self.n = test.nks
         self.nk = trial.nk
         self.n_cols = trial.n_local()
@@ -229,16 +231,15 @@ class ElementCache:
         r, z = self.pts[..., 0], self.pts[..., 1]
         fn = _finite("F_N", problem.f_nl(r, z, psi_q), r, z)
         dfn = _finite("dF_N/dpsi", problem.df_nl(r, z, psi_q), r, z)
-        tv, w = self.tv, self.w
-        N = np.einsum("qi,tq->ti", tv, w * fn / r)
-        D = np.einsum("qi,tq,qj->tij", tv, w * dfn / r, self.uv)
+        N = (self.w * fn / r) @ self.tv
+        D = ((self.w * dfn / r) @ self.TU).reshape(len(r), self.n, self.nk)
         return N, D
 
     def linear_source(self, problem) -> np.ndarray:
         """Stacked (T, n) tau moments of F_L/r."""
         r, z = self.pts[..., 0], self.pts[..., 1]
         fl = _finite("F_L", problem.f_lin(r, z), r, z)
-        return np.einsum("qi,tq->ti", self.tv, self.w * fl / r)
+        return (self.w * fl / r) @ self.tv
 
 
 def _finite(label: str, values, r: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -65,6 +65,8 @@ def cmd_solve(cfg) -> int:
 
 
 def cmd_converge(cfg) -> int:
+    if cfg["levels"] < 1:
+        raise ValueError(f"convergence study needs levels >= 1, got {cfg['levels']}")
     problem = get_problem(cfg["problem"])
     if problem.exact_psi is None:
         print(f"problem {problem.name!r} has no exact solution", file=sys.stderr)

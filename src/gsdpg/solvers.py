@@ -233,14 +233,16 @@ def _mixing_weights(residuals: list[np.ndarray]) -> np.ndarray:
 def anderson_solve(fp_map, U0: np.ndarray, params: AndersonParams | None = None):
     """Anderson-accelerated Picard iteration on U - A(U) = 0.
 
-    With m = 0 and unit relaxation the iterates reduce to plain Picard; a
-    negative m raises ``ValueError``.  Returns a SolveResult whose history
+    With m = 0 and unit relaxation the iterates reduce to plain Picard; m < 0
+    or max_iters < 1 raises ``ValueError``.  Returns a SolveResult whose history
     holds ||R_k||_2 per iteration.  A non-finite residual at iteration k
     stops the iteration unconverged, returning the iterate before it.
     """
     p = params or AndersonParams()
     if p.m < 0:
         raise ValueError(f"Anderson depth m must be >= 0, got {p.m}")
+    if p.max_iters < 1:
+        raise ValueError(f"nonlinear iteration budget max_iters must be >= 1, got {p.max_iters}")
     U_hist: list[np.ndarray] = [np.asarray(U0, dtype=float)]
     A_hist: list[np.ndarray] = [fp_map(U_hist[0])]
     R_hist: list[np.ndarray] = [U_hist[0] - A_hist[0]]

@@ -10,8 +10,10 @@ G_K = L_K L_K^T and E_tau the injection of tau moments into the test rows,
 so all element products are stacked ``(T, ...)`` array operations.
 
 The direct linearized solve condenses the interior fields element by
-element and solves the skeleton (trace) system.  Within one nonlinear solve
-it builds the trace system's sparse pattern once and factors it once: later
+element and solves the skeleton (trace) system: q once per mesh, psi per
+evaluation, as the nonlinear source changes only the psi rows.  Within one
+nonlinear solve it builds the trace system's sparse pattern once, from the
+skeleton node pairs the elements couple, and factors it once: later
 linearizations fill the same pattern and solve by flexible GMRES
 right-preconditioned with the first LU, refactoring only when GMRES misses a
 small iteration cap.  That pattern and LU live in a cache the caller owns
@@ -79,6 +81,7 @@ class GlobalState:
         self.L = self.cache.linear_source(problem)      # F_L moments (T, nks)
         self._A0 = None
         self._A0_el = None
+        self._F = self._FP = self._H = None
 
     # -- trial vector helpers ------------------------------------------
 
@@ -180,42 +183,65 @@ class GlobalState:
         return self._scatter(self._element_rhs(N, D))
 
     def _trace_pattern(self) -> _TracePattern:
-        """Pattern of the free trace system, from the element Schur blocks."""
-        off = self.trial.offset_qhat
-        n_t = self.n_total - off
-        c_t = self.cache.cols[:, 3 * self.trial.nk:] - off   # (T, ntr_local)
-        m = c_t.shape[1]
-        rows = np.repeat(c_t, m, axis=1).ravel()
-        cols = np.tile(c_t, (1, m)).ravel()
+        """Pattern of the free trace system, from the pairs of nodes that the
+        elements couple; a node is an edge (qhat and interior psihat DOFs) or
+        a vertex (psihat).  A column lists qhat by edge, then free vertices,
+        then free interior psihat by edge, so an entry's slot is its column
+        start plus its row node's offset there (per kind) plus its index."""
+        tr, mesh = self.trial, self.mesh
+        k, E, V = tr.k, mesh.n_edges, mesh.n_vertices
+        off = tr.offset_qhat
+        c_t = self.cache.cols[:, 3 * tr.nk:] - off       # (T, m) trace DOFs
+        T, m = c_t.shape
         free_t = self.free[off:]
-        n_f = int(free_t.sum())
-        fidx = np.cumsum(free_t) - 1                  # free index of a trace DOF
-        ff = free_t[rows] & free_t[cols]
-        # column-major keys of the free-free entries, sorted and deduplicated
-        # in CSC order; every other entry goes to a spill slot past the end
-        key = np.where(ff, fidx[cols] * n_f + fidx[rows], n_f * n_f)
-        keys = np.sort(key[ff])
-        keys = keys[np.diff(keys, prepend=-1) > 0]
-        slot = np.searchsorted(keys, key).astype(np.int32)
-        g = np.zeros(n_t)
-        g[self.bdata.dofs - off] = self.bdata.values
-        coupling = np.nonzero(free_t[rows] & ~free_t[cols])[0].astype(np.int32)
-        return _TracePattern(
-            slot=slot,
-            indices=(keys % n_f).astype(np.int32),
-            indptr=np.searchsorted(keys, np.arange(n_f + 1) * n_f).astype(np.int32),
-            coupling=coupling,
-            coupling_rows=fidx[rows[coupling]],
-            coupling_g=g[cols[coupling]],
-        )
+        fidx = np.cumsum(free_t) - 1                     # free index of a trace DOF
+        # node (edges, then vertices), kind (qhat, vertex psihat, interior
+        # psihat) and index within the node of each trace DOF
+        node = np.concatenate([np.repeat(np.arange(E), k + 1), E + np.arange(V),
+                               np.repeat(np.arange(E), k)])
+        kind = np.repeat([0, 1, 2], [E * (k + 1), V, E * k])
+        pos = np.concatenate([np.tile(np.arange(k + 1), E), np.zeros(V, dtype=np.int64),
+                              np.tile(np.arange(k), E)])
+        cnt = np.bincount(3 * node[free_t] + kind[free_t], minlength=3 * (E + V)).reshape(-1, 3)
+        nodes = np.concatenate([mesh.tri_edges, E + mesh.triangles], axis=1)
+        pairs, inv = np.unique((nodes[:, :, None] * (E + V) + nodes[:, None, :]).ravel(),
+                               return_inverse=True)
+        col_node = pairs // (E + V)
+        first = np.diff(col_node, prepend=-1) > 0
+        start, group = np.flatnonzero(first), np.cumsum(first) - 1
+        c = cnt[pairs % (E + V)]
+        excl = np.cumsum(c, axis=0) - c
+        tot = np.add.reduceat(c, start, axis=0)           # per column node and kind
+        pair_off = excl - excl[start][group] + (np.cumsum(tot, axis=1) - tot)[group]
+        nnz = np.zeros(E + V, dtype=np.int64)
+        nnz[col_node[start]] = tot.sum(axis=1)
+        indptr = np.concatenate([[0], np.cumsum(nnz[node[free_t]])]).astype(np.int32)
+        # row offset of each local DOF within each of the element's nodes
+        ln = np.argmax(nodes[:, None, :] == node[c_t][:, :, None], axis=2)   # (T, m)
+        pair = np.take_along_axis(inv.reshape(T, 6, 6), ln[:, None], axis=2)  # (T, 6, m)
+        row_off = (pair_off[pair, kind[c_t][:, None]] + pos[c_t][:, None]).astype(np.int32)
+        fr = free_t[c_t]
+        ff = fr[:, :, None] & fr[:, None, :]
+        slot = (indptr[fidx[c_t]][:, None, :]
+                + np.swapaxes(np.take_along_axis(row_off, ln[:, :, None], axis=1), 1, 2))
+        slot = np.where(ff, slot, indptr[-1]).ravel()
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        indices[slot[ff.ravel()]] = np.broadcast_to(fidx[c_t][:, :, None], (T, m, m))[ff]
+        coupling = np.flatnonzero(fr[:, :, None] & ~fr[:, None, :]).astype(np.int32)
+        t, ab = np.divmod(coupling, m * m)
+        return _TracePattern(slot=slot, indices=indices, indptr=indptr,
+                             coupling=coupling, coupling_rows=fidx[c_t[t, ab // m]],
+                             coupling_g=self.initial_guess()[off:][c_t[t, ab % m]])
 
     def solve_linearized(self, N, D, cache: dict | None = None) -> np.ndarray:
         """Solve A x = b by local elimination of interior fields.
 
         The interior (q, psi) columns couple only within their own element,
         so they are condensed out and only the skeleton system S (normal
-        traces plus psihat) is solved globally.  Returns the full trial
-        vector with boundary values applied.
+        traces plus psihat) is solved globally.  D enters only the psi rows,
+        so q is eliminated once per state and each call
+        eliminates psi with one nk x nk solve per element.  Returns the full
+        trial vector with boundary values applied.
 
         ``cache`` (a dict owned by the caller, for one GlobalState) carries
         work from one call to the next.  The first call stores the CSC
@@ -232,22 +258,37 @@ class GlobalState:
         if "pattern" not in cache:
             cache["pattern"] = self._trace_pattern()
         p = cache["pattern"]
-        nk3 = 3 * self.trial.nk
+        nk = self.trial.nk
+        nq, nk3 = 2 * nk, 3 * nk
         off = self.trial.offset_qhat
-        A = self.element_static_blocks()
+        if self._H is None:
+            # once per state, with r the (psi, trace) columns of A = W^T W and
+            # A_qq = L L^T: F = A_qq^{-1} A_qr, FP = A_qq^{-1} P_tau[q] and the
+            # reduced block H = A_rr - A_qr^T F, so that x_q = FP src - F x_r
+            W_q, W_r = self.cache.W[:, :, :nq], self.cache.W[:, :, nq:]
+            A_qr = np.swapaxes(W_q, 1, 2) @ W_r
+            L = np.linalg.cholesky(np.swapaxes(W_q, 1, 2) @ W_q)
+            sol = np.linalg.solve(np.swapaxes(L, 1, 2), np.linalg.solve(
+                L, np.concatenate([A_qr, self.P_tau[:, :nq]], axis=2)))
+            self._F, self._FP = sol[:, :, :A_qr.shape[2]], sol[:, :, A_qr.shape[2]:]
+            self._H = np.swapaxes(W_r, 1, 2) @ W_r - np.swapaxes(A_qr, 1, 2) @ self._F
+        F, FP, H = self._F, self._FP, self._H
 
+        # D_N adds Dl = -D^T P_tau^T to the psi rows, which become H_psi; the
+        # right-hand side c = b_r - F^T b_q loses Dl_q A_qq^{-1} b_q in psi
         b = self._element_rhs(N, D)                    # (T, ncols)
-        A_i = A[:, :nk3]                               # interior rows
-        if D.any():                                    # D_N enters the psi rows only
-            A_i = A_i.copy()
-            A_i[:, self._c_psi] -= np.swapaxes(D, 1, 2) @ np.swapaxes(self.P_tau, 1, 2)
+        Dl = -np.swapaxes(D, 1, 2) @ np.swapaxes(self.P_tau, 1, 2)
+        H_psi = H[:, :nk] + Dl[:, :, nq:] - Dl[:, :, :nq] @ F
+        y_q = np.einsum("tij,tj->ti", FP, N + self.L)  # A_qq^{-1} b_q
+        c = b[:, nq:] - np.einsum("tji,tj->ti", F, b[:, :nq])
+        c[:, :nk] -= np.einsum("tij,tj->ti", Dl[:, :, :nq], y_q)
 
-        A_ti = A[:, nk3:, :nk3]
-        sol = np.linalg.solve(A_i[:, :, :nk3],
-                              np.concatenate([A_i[:, :, nk3:], b[:, :nk3, None]], axis=2))
-        X, y_i = sol[:, :, :-1], sol[:, :, -1]
-        S_el = (A[:, nk3:, nk3:] - A_ti @ X).ravel()  # (T, ntr, ntr) flattened
-        r_el = b[:, nk3:] - np.einsum("tij,tj->ti", A_ti, y_i)
+        sol = np.linalg.solve(H_psi[:, :, :nk],
+                              np.concatenate([H_psi[:, :, nk:], c[:, :nk, None]], axis=2))
+        X, y_psi = sol[:, :, :-1], sol[:, :, -1]
+        H_tp = H[:, nk:, :nk]
+        S_el = (H[:, nk:, nk:] - H_tp @ X).ravel()    # (T, ntr, ntr) flattened
+        r_el = c[:, nk:] - np.einsum("tij,tj->ti", H_tp, y_psi)
 
         n_f = len(p.indptr) - 1
         S = sp.csc_matrix((np.bincount(p.slot, S_el)[:len(p.indices)], p.indices, p.indptr),
@@ -272,8 +313,10 @@ class GlobalState:
 
         U = self.initial_guess()
         U[off:][free_t] = x_f
-        v = U[self.cache.cols[:, nk3:]]                # (T, ntr_local)
-        U[self.cache.cols[:, :nk3]] = y_i - np.einsum("tij,tj->ti", X, v)
+        x_r = U[self.cache.cols[:, nq:]]               # (psi, trace) per element
+        x_r[:, :nk] = y_psi - np.einsum("tij,tj->ti", X, x_r[:, nk:])
+        U[self.cache.cols[:, :nq]] = y_q - np.einsum("tij,tj->ti", F, x_r)
+        U[self.cache.cols[:, nq:nk3]] = x_r[:, :nk]
         return U
 
     # -- boundary elimination ------------------------------------------

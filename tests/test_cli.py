@@ -105,6 +105,16 @@ $EndElements
         assert "error: Anderson depth m must be >= 0, got -1" in capsys.readouterr().err
 
 
+    def test_zero_nonlinear_iterations_exits_1(self, tmp_path, monkeypatch, capsys):
+        rc = run_in(tmp_path, monkeypatch, [
+            "solve", "-o", "problem=rect-amr", "-o", "k=1",
+            "-o", "resolution=3,3", "-o", "max_nonlinear_iters=0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: nonlinear iteration budget max_iters must be >= 1, got 0" in err
+        assert not (tmp_path / "gsdpg_solution.vtk").exists()
+
+
 class TestConvergeCommand:
     def test_writes_csv_with_orders(self, tmp_path, monkeypatch):
         rc = run_in(tmp_path, monkeypatch, [
@@ -116,6 +126,17 @@ class TestConvergeCommand:
         assert len(csv) == 3
         order = float(csv[2].split(",")[4])
         assert 1.0 < order < 3.0
+
+    @pytest.mark.parametrize("levels", [0, -1])
+    def test_nonpositive_levels_exits_1(self, tmp_path, monkeypatch, capsys, levels):
+        rc = run_in(tmp_path, monkeypatch, [
+            "converge", "-o", "problem=manufactured", "-o", "k=1",
+            "-o", "resolution=3,2", "-o", f"levels={levels}"])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert f"error: convergence study needs levels >= 1, got {levels}" in err
+        assert "level" not in out
+        assert not (tmp_path / "gsdpg_convergence.csv").exists()
 
     def test_problem_without_exact_solution_exits_2(self, tmp_path, monkeypatch, capsys):
         rc = run_in(tmp_path, monkeypatch, [

@@ -310,6 +310,14 @@ class TestAndersonScalarMap:
                            AndersonParams(m=-1))
         assert not calls
 
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_no_iteration_budget_rejected(self, max_iters):
+        calls = []
+        with pytest.raises(ValueError, match=f"max_iters must be >= 1, got {max_iters}"):
+            anderson_solve(lambda x: calls.append(1) or np.cos(x), np.array([1.0]),
+                           AndersonParams(max_iters=max_iters))
+        assert not calls
+
     def test_stagnation_stop(self):
         # constant map: second iterate equals the first, stagnation triggers
         params = AndersonParams(m=2, rtol=1e-30, atol=0.0, stol=1e-12,

@@ -6,7 +6,7 @@ import scipy.sparse.linalg as spla
 import gsdpg.system
 from gsdpg.assembly import SourceEvaluationError
 from gsdpg.basis import default_volume_degree, triangle_rule
-from gsdpg.mesh import build_builtin_mesh, rectangle_curve
+from gsdpg.mesh import bisect_conforming, build_builtin_mesh, rectangle_curve
 from gsdpg.problems import get_problem
 from gsdpg.solvers import solve_nonlinear
 from gsdpg.system import GlobalState
@@ -43,6 +43,85 @@ def residual_elements(state, U):
     r = np.einsum("tij,tj->ti", B, U[state.cache.cols])
     r[:, state._tau] -= N + state.L
     return r
+
+
+def reference_trace_pattern(state):
+    """The sort-and-searchsorted pattern over all element Schur-block
+    entries that ``GlobalState._trace_pattern`` replaced."""
+    off = state.trial.offset_qhat
+    n_t = state.n_total - off
+    c_t = state.cache.cols[:, 3 * state.trial.nk:] - off
+    m = c_t.shape[1]
+    rows = np.repeat(c_t, m, axis=1).ravel()
+    cols = np.tile(c_t, (1, m)).ravel()
+    free_t = state.free[off:]
+    n_f = int(free_t.sum())
+    fidx = np.cumsum(free_t) - 1
+    ff = free_t[rows] & free_t[cols]
+    key = np.where(ff, fidx[cols] * n_f + fidx[rows], n_f * n_f)
+    keys = np.sort(key[ff])
+    keys = keys[np.diff(keys, prepend=-1) > 0]
+    slot = np.searchsorted(keys, key).astype(np.int32)
+    g = np.zeros(n_t)
+    g[state.bdata.dofs - off] = state.bdata.values
+    coupling = np.nonzero(free_t[rows] & ~free_t[cols])[0].astype(np.int32)
+    return gsdpg.system._TracePattern(
+        slot=slot,
+        indices=(keys % n_f).astype(np.int32),
+        indptr=np.searchsorted(keys, np.arange(n_f + 1) * n_f).astype(np.int32),
+        coupling=coupling,
+        coupling_rows=fidx[rows[coupling]],
+        coupling_g=g[cols[coupling]],
+    )
+
+
+def reference_condensation(state, N, D):
+    """The per-evaluation elimination of the whole interior (q, psi) block
+    that ``solve_linearized`` replaced: the free trace system (S, b_f) and
+    the interior recovery x_f -> full trial vector."""
+    st = state
+    p = reference_trace_pattern(st)
+    nk3 = 3 * st.trial.nk
+    off = st.trial.offset_qhat
+    W = st.cache.W
+    A = np.swapaxes(W, 1, 2) @ W
+    b = st._element_rhs(N, D)
+    A_i = A[:, :nk3].copy()
+    A_i[:, st._c_psi] -= np.swapaxes(D, 1, 2) @ np.swapaxes(st.P_tau, 1, 2)
+    A_ti = A[:, nk3:, :nk3]
+    sol = np.linalg.solve(A_i[:, :, :nk3],
+                          np.concatenate([A_i[:, :, nk3:], b[:, :nk3, None]], axis=2))
+    X, y_i = sol[:, :, :-1], sol[:, :, -1]
+    S_el = (A[:, nk3:, nk3:] - A_ti @ X).ravel()
+    r_el = b[:, nk3:] - np.einsum("tij,tj->ti", A_ti, y_i)
+    n_f = len(p.indptr) - 1
+    S = sp.csc_matrix((np.bincount(p.slot, S_el)[:len(p.indices)], p.indices, p.indptr),
+                      shape=(n_f, n_f))
+    free_t = st.free[off:]
+    rhs = np.bincount((st.cache.cols[:, nk3:] - off).ravel(), r_el.ravel(),
+                      minlength=len(free_t))
+    b_f = rhs[free_t] - np.bincount(p.coupling_rows, S_el[p.coupling] * p.coupling_g,
+                                    minlength=n_f)
+
+    def recover(x_f):
+        U = st.initial_guess()
+        U[off:][free_t] = x_f
+        v = U[st.cache.cols[:, nk3:]]
+        U[st.cache.cols[:, :nk3]] = y_i - np.einsum("tij,tj->ti", X, v)
+        return U
+
+    return S, b_f, recover
+
+
+def deep_corner_state(generations):
+    """rect-amr, 8x8, k=2, with the element nearest (1.6, 0.75) bisected
+    ``generations`` times (as in test_solvers.TestDeepCornerRefinement)."""
+    prob = get_problem("rect-amr")
+    mesh = build_builtin_mesh(prob.boundary, (8, 8))
+    for _ in range(generations):
+        c = mesh.vertices[mesh.triangles].mean(axis=1)
+        mesh = bisect_conforming(mesh, [np.argmin(np.hypot(c[:, 0] - 1.6, c[:, 1] - 0.75))])
+    return GlobalState(mesh, prob, k=2)
 
 
 class TestResidualAndEnergy:
@@ -94,6 +173,24 @@ class TestRetainedMemory:
                     held[id(base)] = base
         assert not [a.shape for a in held.values() if a.shape == (T, 3 * n, 3 * n)]
         assert sum(a.nbytes for a in held.values()) / T <= 40e3
+
+
+class TestSourceMoments:
+    @pytest.mark.parametrize("name,res,k", [("rect-amr", (3, 3), 1), ("manufactured", (4, 2), 2)])
+    def test_gemm_matches_three_operand_einsum(self, name, res, k):
+        prob = get_problem(name)
+        st = GlobalState(build_builtin_mesh(prob.boundary, res), prob, k=k)
+        c = st.cache
+        psi_q = st.interior_coeffs(random_iterate(st, seed=3))[1] @ c.uv.T
+        N, D = c.source_moments(psi_q, prob)
+        r, z = c.pts[..., 0], c.pts[..., 1]
+        fn = np.broadcast_to(prob.f_nl(r, z, psi_q), r.shape)
+        dfn = np.broadcast_to(prob.df_nl(r, z, psi_q), r.shape)
+        want_N = np.einsum("qi,tq->ti", c.tv, c.w * fn / r)
+        want_D = np.einsum("qi,tq,qj->tij", c.tv, c.w * dfn / r, c.uv)
+        assert np.abs(want_D).max() > 0
+        assert np.abs(N - want_N).max() <= 1e-14 * np.abs(want_N).max()
+        assert np.abs(D - want_D).max() <= 1e-14 * np.abs(want_D).max()
 
 
 class TestLinearSource:
@@ -207,6 +304,63 @@ class TestCondensedSolve:
         N, D = st.sources(st.initial_guess())
         x = st.solve_linearized(N, D)
         assert np.abs(x[st.bdata.dofs] - st.bdata.values).max() == 0.0
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("name,res", [("manufactured", (4, 2)), ("rect-amr", (3, 3)),
+                                          ("solovev-iter", (6, 2)), ("dshape", (8, 2))])
+    def test_node_pair_pattern_matches_reference(self, name, res, k):
+        prob = get_problem(name)
+        mesh = build_builtin_mesh(prob.boundary, res)
+        rng = np.random.default_rng(k)
+        for _ in range(2):
+            mesh = bisect_conforming(mesh, rng.choice(mesh.n_triangles, mesh.n_triangles // 4,
+                                                      replace=False))
+        st = GlobalState(mesh, prob, k=k)
+        got, want = st._trace_pattern(), reference_trace_pattern(st)
+        assert len(want.coupling) > 0
+        for f in ("slot", "indices", "indptr", "coupling", "coupling_rows", "coupling_g"):
+            a, b = getattr(got, f), getattr(want, f)
+            assert a.dtype == b.dtype and np.array_equal(a, b), f
+
+    @pytest.mark.parametrize("generations", [None, 20])
+    def test_matches_reference_elimination(self, nl_state, generations):
+        """The q-first elimination gives the same trace system and interior
+        recovery as eliminating the whole interior block per evaluation, at
+        a nonzero D.  At 20 generations the trace system is so
+        ill-conditioned that 1e-14 changes of the data move its solution by
+        1e-7, and the interior recovery of the tiny elements cancels, so
+        there the trace solution is checked against the reference system and
+        the recovery in the energy norm sqrt(sum_K |W_K x_K|^2)."""
+        st = nl_state if generations is None else deep_corner_state(generations)
+        U = random_iterate(st, seed=9, scale=0.05)
+        N, D = st.sources(U)
+        assert np.abs(D).max() > 1.0
+        got = st.solve_linearized(N, D)
+        S, b_f, recover = reference_condensation(st, N, D)
+        x_f = got[st.free][st.trial.offset_qhat:]
+        assert np.abs(S @ x_f - b_f).max() <= 1e-12 * np.abs(b_f).max()
+
+        def energy(x):
+            return np.linalg.norm(np.einsum("tij,tj->ti", st.cache.W, x[st.cache.cols]))
+
+        assert energy(recover(x_f) - got) <= 1e-12 * energy(got)
+        if generations is None:
+            want = recover(spla.spsolve(S, b_f))
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_direct_solve_builds_static_blocks_once(self, monkeypatch):
+        """A direct nonlinear solve eliminates q from blocks built once per
+        state and never forms the (T, ncols, ncols) static stack."""
+        calls = []
+        monkeypatch.setattr(GlobalState, "element_static_blocks",
+                            lambda self: calls.append(1))
+        prob = get_problem("rect-amr")
+        st = GlobalState(build_builtin_mesh(prob.boundary, (3, 3)), prob, k=1)
+        assert solve_nonlinear(st).converged
+        blocks = (st._F, st._FP, st._H)
+        assert solve_nonlinear(st).converged
+        assert all(a is b for a, b in zip((st._F, st._FP, st._H), blocks))
+        assert not calls and st._A0_el is None
 
 
 class TestLaggedTraceSolve:

@@ -37,9 +37,14 @@ def krylov_solve(A, b, M=None, params: KrylovParams | None = None):
     triangular form by Givens rotations accumulated in a small orthogonal
     matrix ``Qt``, so the residual estimate of step j is beta |Qt[j+1, 0]|.
     A happy breakdown (the new basis vector vanishes against the column)
-    ends the restart cycle.
+    ends the restart cycle.  ``restart < 1`` or ``max_iters < 1`` raises
+    ``ValueError``.
     """
     params = params or KrylovParams()
+    if params.restart < 1:
+        raise ValueError(f"GMRES restart length must be >= 1, got {params.restart}")
+    if params.max_iters < 1:
+        raise ValueError(f"GMRES iteration budget max_iters must be >= 1, got {params.max_iters}")
     n = b.shape[0]
     matvec = A.dot if hasattr(A, "dot") else A
     if M is None:

@@ -44,12 +44,6 @@ class BoundaryCurve:
             p = p.reshape(s.shape + (2,))
         return p
 
-    def validate(self) -> None:
-        a = self.points(np.array(0.0))
-        b = self.points(np.array(2.0 * np.pi))
-        if not np.allclose(a, b, rtol=0.0, atol=1e-14):
-            raise MeshError(f"boundary curve '{self.kind}' is not closed")
-
 
 def rectangle_curve(r0: float, r1: float, z0: float, z1: float) -> BoundaryCurve:
     corners = np.array([[r0, z0], [r1, z0], [r1, z1], [r0, z1], [r0, z0]])

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .krylov import KrylovParams, krylov_solve
+from .krylov import KrylovParams, krylov_solve  # noqa: F401 (KrylovParams re-exported)
 from .system import GlobalState
 
 
@@ -31,7 +31,6 @@ class AndersonParams:
     atol: float = 1e-10
     stol: float = 1e-12
     max_iters: int = 100
-    lambda0: float = 1.0
     line_search: bool = True
 
 
@@ -53,10 +52,10 @@ class BlockJacobiPreconditioner:
     Block ranges follow the global (Q, Psi, Qhat_n, Psihat) ordering of the
     constrained system: DOFs outside ``state.free`` are absent.  The
     interior blocks P11 (Q) and P22 (Psi) couple only within an element, so
-    they are inverted element by element from the stacked static blocks and
-    applied with one batched product each; the two trace blocks keep a
-    sparse direct factorization, which replaces the multigrid inner solvers
-    of large-scale settings.
+    each element's W_q^T W_q and W_psi^T W_psi, from the whitened stack
+    W = L^{-1} B, is inverted and applied with one batched product per
+    block; the two trace blocks keep a sparse direct factorization, which
+    replaces the multigrid inner solvers of large-scale settings.
     """
 
     def __init__(self, state: GlobalState):
@@ -66,14 +65,13 @@ class BlockJacobiPreconditioner:
         free = state.free
         if not free[:tr.offset_qhat].all():
             raise ValueError("block-Jacobi preconditioner needs every interior DOF free")
-        A_el = state.element_static_blocks()
+        W = state.cache.W
         nq = 2 * tr.nk
-        interior = [A_el[:, :nq, :nq], A_el[:, nq:nq + tr.nk, nq:nq + tr.nk]]
+        interior = [W[:, :, :nq], W[:, :, nq:nq + tr.nk]]
         idx = np.nonzero(free)[0]
         self.n = len(idx)
         self.block_slices = []
         self.factors = []
-        self.blocks = []
         start = 0
         for b in range(4):
             sel = idx[(idx >= bounds[b]) & (idx < bounds[b + 1])]
@@ -84,12 +82,12 @@ class BlockJacobiPreconditioner:
             if asym > 1e-10 * max(1.0, abs(P_bb).max()):
                 raise RuntimeError(f"preconditioner block {b + 1} is not symmetric")
             try:
-                self.factors.append(np.linalg.inv(interior[b]) if b < 2
-                                    else spla.splu(P_bb))
+                self.factors.append(
+                    np.linalg.inv(np.swapaxes(interior[b], 1, 2) @ interior[b]) if b < 2
+                    else spla.splu(P_bb))
             except (RuntimeError, np.linalg.LinAlgError) as exc:
                 raise RuntimeError(f"factorization of block P{b + 1}{b + 1} failed") from exc
             self.block_slices.append(sl)
-            self.blocks.append(P_bb)
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         out = np.empty_like(v)
@@ -114,13 +112,11 @@ class FixedPointMap:
     ``GlobalState.solve_linearized``); ``solve_nonlinear`` empties it.
     """
 
-    def __init__(self, state: GlobalState, inner: str = "direct",
-                 krylov: KrylovParams | None = None):
+    def __init__(self, state: GlobalState, inner: str = "direct"):
         if inner not in ("direct", "gmres"):
             raise ValueError(f"unknown inner solver {inner!r}")
         self.state = state
         self.inner = inner
-        self.krylov = krylov or KrylovParams()
         self._precond = None
         self._linear_result = None
         self.trace_cache = {}
@@ -143,7 +139,7 @@ class FixedPointMap:
             A_ff, b_f = st.constrain(A, b)
             if self._precond is None:
                 self._precond = build_block_jacobi(st)
-            x, info = krylov_solve(A_ff, b_f, M=self._precond, params=self.krylov)
+            x, info = krylov_solve(A_ff, b_f, M=self._precond)
             self.inner_iterations.append(info["iterations"])
             if not info["converged"]:
                 raise RuntimeError(
@@ -158,21 +154,25 @@ class FixedPointMap:
 # -- line search --------------------------------------------------------
 
 
-def cubic_line_search(merit, lambda_init: float = 1.0, lambda_min: float = 1e-4,
-                      alpha: float = 2e-4):
-    """Backtracking on merit(lam) with quadratic then cubic interpolation.
+_LAMBDA_MIN = 1e-4      # smallest line-search step
+_ALPHA = 2e-4           # sufficient-decrease constant
 
-    Accepts the first lam with merit(lam) <= merit(0) * (1 - 2*alpha*lam)
+
+def cubic_line_search(merit):
+    """Backtracking on merit(lam) from lam = 1 with quadratic then cubic
+    interpolation.
+
+    Accepts the first lam with merit(lam) <= merit(0) * (1 - 2*_ALPHA*lam)
     (sufficient decrease for a squared-residual merit along a solver step,
     whose directional derivative at 0 is modeled as -2*merit(0)).  Steps are
     safeguarded to [0.1, 0.5] of the previous lam, and a non-finite merit
-    halves it; gives up at lambda_min.
+    halves it; gives up at _LAMBDA_MIN.
     """
     m0 = merit(0.0)
     slope = -2.0 * m0
-    lam = lambda_init
+    lam = 1.0
     m_lam = merit(lam)
-    if m_lam <= m0 * (1.0 - 2.0 * alpha * lam):
+    if m_lam <= m0 * (1.0 - 2.0 * _ALPHA * lam):
         return lam, m_lam
     # quadratic model through m0, slope, (lam, m_lam)
     lam_prev, m_prev = lam, m_lam
@@ -181,10 +181,10 @@ def cubic_line_search(merit, lambda_init: float = 1.0, lambda_min: float = 1e-4,
     lam = float(np.clip(lam_new, 0.1 * lam_prev, 0.5 * lam_prev))
     while True:
         m_lam = merit(lam)
-        if m_lam <= m0 * (1.0 - 2.0 * alpha * lam):
+        if m_lam <= m0 * (1.0 - 2.0 * _ALPHA * lam):
             return lam, m_lam
-        if lam <= lambda_min:
-            return lambda_min, merit(lambda_min)
+        if lam <= _LAMBDA_MIN:
+            return _LAMBDA_MIN, merit(_LAMBDA_MIN)
         # cubic model through (lam_prev, m_prev) and (lam, m_lam)
         r1 = m_lam - m0 - slope * lam
         r2 = m_prev - m0 - slope * lam_prev
@@ -200,7 +200,7 @@ def cubic_line_search(merit, lambda_init: float = 1.0, lambda_min: float = 1e-4,
             lam_new = 0.5 * lam
         lam_prev, m_prev = lam, m_lam
         lam = float(np.clip(lam_new, 0.1 * lam_prev, 0.5 * lam_prev))
-        lam = max(lam, lambda_min)
+        lam = max(lam, _LAMBDA_MIN)
 
 
 # -- Anderson acceleration ---------------------------------------------
@@ -253,7 +253,7 @@ def anderson_solve(fp_map, U0: np.ndarray, params: AndersonParams | None = None)
                            "non-finite residual at iteration 0")
     stop = max(p.rtol * r0_norm, p.atol)
 
-    U1 = (1.0 - p.lambda0) * U_hist[0] + p.lambda0 * A_hist[0]
+    U1 = A_hist[0]
     A1 = fp_map(U1)
     U_hist.insert(0, U1)
     A_hist.insert(0, A1)

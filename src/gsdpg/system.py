@@ -7,7 +7,10 @@ r^T G^{-1} r used both as the solver objective and as the refinement
 estimator.  Every Gram inverse enters through the whitened element stacks
 W_K = L_K^{-1} B_K and Z_K = L_K^{-1} E_tau of ``ElementCache``, with
 G_K = L_K L_K^T and E_tau the injection of tau moments into the test rows,
-so all element products are stacked ``(T, ...)`` array operations.
+so all element products are stacked ``(T, ...)`` array operations.  No
+product of W and Z is kept: each linearization forms the whitened source
+z = Z (N + F_L) and Z D once, and the right-hand side W_tau^T z - (Z D)^T z
+(psi rows) and the D_N correction -(Z D)^T W_tau come from those.
 
 The direct linearized solve condenses the interior fields element by
 element and solves the skeleton (trace) system: q once per mesh, psi per
@@ -72,15 +75,8 @@ class GlobalState:
         n = self.test.nks
         self._tau = slice(2 * n, 3 * n)
         self._c_psi = slice(2 * self.trial.nk, 3 * self.trial.nk)
-        # batched products of the cache's whitened stacks W and Z:
-        #   P_tau : B^T G^{-1} E_tau = W^T Z        (T, ncols, nks)
-        #   Gtt   : E_tau^T G^{-1} E_tau = Z^T Z    (T, nks, nks)
-        W, Z = self.cache.W, self.cache.Z
-        self.P_tau = np.swapaxes(W[:, self._tau], 1, 2) @ Z
-        self.Gtt = np.swapaxes(Z, 1, 2) @ Z
         self.L = self.cache.linear_source(problem)      # F_L moments (T, nks)
         self._A0 = None
-        self._A0_el = None
         self._F = self._FP = self._H = None
 
     # -- trial vector helpers ------------------------------------------
@@ -115,10 +111,14 @@ class GlobalState:
         _, psi_c = self.interior_coeffs(U)
         return self.cache.source_moments(psi_c @ self.cache.uv.T, self.problem)
 
+    def _whitened_source(self, N: np.ndarray) -> np.ndarray:
+        """z = Z (N + F_L), the (T, nks) tau rows of L^{-1} E_tau (N + F_L)."""
+        return np.einsum("tij,tj->ti", self.cache.Z, N + self.L)
+
     def _whitened_residual(self, U: np.ndarray, N: np.ndarray) -> np.ndarray:
-        """L^{-1} r per element: W u - Z (N + F_L) on the tau rows."""
+        """L^{-1} r per element: W u - z on the tau rows."""
         y = np.einsum("tij,tj->ti", self.cache.W, U[self.cache.cols])
-        y[:, self._tau] -= np.einsum("tij,tj->ti", self.cache.Z, N + self.L)
+        y[:, self._tau] -= self._whitened_source(N)
         return y
 
     def energy_residual(self, U: np.ndarray):
@@ -130,20 +130,13 @@ class GlobalState:
 
     # -- normal operator -----------------------------------------------
 
-    def element_static_blocks(self) -> np.ndarray:
-        """Stacked (T, ncols, ncols) per-element blocks of B_L^T G^{-1} B_L."""
-        if self._A0_el is None:
-            W = self.cache.W
-            self._A0_el = np.swapaxes(W, 1, 2) @ W
-        return self._A0_el
-
     def normal_matrix_static(self) -> sp.csr_matrix:
         """B_L^T G^{-1} B_L assembled once per mesh (symmetric part)."""
         if self._A0 is None:
-            c = self.cache.cols
+            W, c = self.cache.W, self.cache.cols
             m = c.shape[1]
             A = sp.coo_matrix(
-                (self.element_static_blocks().ravel(),
+                ((np.swapaxes(W, 1, 2) @ W).ravel(),
                  (np.repeat(c, m, axis=1).ravel(), np.tile(c, (1, m)).ravel())),
                 shape=(self.n_total, self.n_total),
             )
@@ -157,8 +150,9 @@ class GlobalState:
         active = np.nonzero(np.any(D, axis=(1, 2)))[0]
         if len(active) == 0:
             return A
-        # correction (-D_N)^T (G^{-1} B_L) lands in the psi block rows
-        C_el = -np.swapaxes(D[active], 1, 2) @ np.swapaxes(self.P_tau[active], 1, 2)
+        # correction -(Z D)^T W_tau = (-D_N)^T (G^{-1} B_L) in the psi block rows
+        ZD = self.cache.Z[active] @ D[active]
+        C_el = -np.swapaxes(ZD, 1, 2) @ self.cache.W[active, self._tau]
         c = self.cache.cols[active]
         pr = self.trial.offset_psi + self.trial.nk * active[:, None] + np.arange(self.trial.nk)
         C = sp.coo_matrix(
@@ -168,19 +162,18 @@ class GlobalState:
         )
         return (A + C.tocsr()).tocsr()
 
-    def _element_rhs(self, N, D) -> np.ndarray:
-        """Stacked (T, ncols) element parts of J^T G^{-1} (B_N(U) + F_L)."""
-        src = N + self.L                               # (T, nks)
-        b = np.einsum("tcj,tj->tc", self.P_tau, src)
-        y_tau = np.einsum("tij,tj->ti", self.Gtt, src)
-        b[:, self._c_psi] -= np.einsum("tji,tj->ti", D, y_tau)
+    def _element_rhs(self, z: np.ndarray, ZD: np.ndarray) -> np.ndarray:
+        """Stacked (T, ncols) element parts of J^T G^{-1} (B_N(U) + F_L) from
+        the whitened source z and ZD = Z D: W_tau^T z, less ZD^T z in psi."""
+        b = np.einsum("tji,tj->ti", self.cache.W[:, self._tau], z)
+        b[:, self._c_psi] -= np.einsum("tji,tj->ti", ZD, z)
         return b
 
     def fixed_point_rhs(self, U: np.ndarray, N=None, D=None) -> np.ndarray:
         """b = J^T(U) G^{-1} (B_N(U) + F_L) on the full trial layout."""
         if N is None or D is None:
             N, D = self.sources(U)
-        return self._scatter(self._element_rhs(N, D))
+        return self._scatter(self._element_rhs(self._whitened_source(N), self.cache.Z @ D))
 
     def _trace_pattern(self) -> _TracePattern:
         """Pattern of the free trace system, from the pairs of nodes that the
@@ -261,25 +254,27 @@ class GlobalState:
         nk = self.trial.nk
         nq, nk3 = 2 * nk, 3 * nk
         off = self.trial.offset_qhat
+        W = self.cache.W
         if self._H is None:
             # once per state, with r the (psi, trace) columns of A = W^T W and
-            # A_qq = L L^T: F = A_qq^{-1} A_qr, FP = A_qq^{-1} P_tau[q] and the
-            # reduced block H = A_rr - A_qr^T F, so that x_q = FP src - F x_r
-            W_q, W_r = self.cache.W[:, :, :nq], self.cache.W[:, :, nq:]
+            # A_qq = L L^T: F = A_qq^{-1} A_qr, FP = A_qq^{-1} W_tau[q]^T and
+            # the reduced block H = A_rr - A_qr^T F, so that x_q = FP z - F x_r
+            W_q, W_r = W[:, :, :nq], W[:, :, nq:]
             A_qr = np.swapaxes(W_q, 1, 2) @ W_r
             L = np.linalg.cholesky(np.swapaxes(W_q, 1, 2) @ W_q)
             sol = np.linalg.solve(np.swapaxes(L, 1, 2), np.linalg.solve(
-                L, np.concatenate([A_qr, self.P_tau[:, :nq]], axis=2)))
+                L, np.concatenate([A_qr, np.swapaxes(W_q[:, self._tau], 1, 2)], axis=2)))
             self._F, self._FP = sol[:, :, :A_qr.shape[2]], sol[:, :, A_qr.shape[2]:]
             self._H = np.swapaxes(W_r, 1, 2) @ W_r - np.swapaxes(A_qr, 1, 2) @ self._F
         F, FP, H = self._F, self._FP, self._H
 
-        # D_N adds Dl = -D^T P_tau^T to the psi rows, which become H_psi; the
-        # right-hand side c = b_r - F^T b_q loses Dl_q A_qq^{-1} b_q in psi
-        b = self._element_rhs(N, D)                    # (T, ncols)
-        Dl = -np.swapaxes(D, 1, 2) @ np.swapaxes(self.P_tau, 1, 2)
+        # D_N adds Dl = -(Z D)^T W_tau to the psi rows, which become H_psi;
+        # the right-hand side c = b_r - F^T b_q loses Dl_q A_qq^{-1} b_q in psi
+        z, ZD = self._whitened_source(N), self.cache.Z @ D
+        b = self._element_rhs(z, ZD)                   # (T, ncols)
+        Dl = -np.swapaxes(ZD, 1, 2) @ W[:, self._tau]
         H_psi = H[:, :nk] + Dl[:, :, nq:] - Dl[:, :, :nq] @ F
-        y_q = np.einsum("tij,tj->ti", FP, N + self.L)  # A_qq^{-1} b_q
+        y_q = np.einsum("tij,tj->ti", FP, z)           # A_qq^{-1} b_q
         c = b[:, nq:] - np.einsum("tji,tj->ti", F, b[:, :nq])
         c[:, :nk] -= np.einsum("tij,tj->ti", Dl[:, :, :nq], y_q)
 
@@ -324,16 +319,13 @@ class GlobalState:
     def constrain(self, A: sp.csr_matrix, b: np.ndarray):
         """Restrict A x = b to free DOFs, moving boundary data to the RHS."""
         free = self.free
-        g = np.zeros(self.n_total)
-        g[self.bdata.dofs] = self.bdata.values
-        b_f = (b - A @ g)[free]
+        b_f = (b - A @ self.initial_guess())[free]
         A_ff = A[free][:, free].tocsc()
         return A_ff, b_f
 
     def expand(self, x_f: np.ndarray) -> np.ndarray:
-        U = np.zeros(self.n_total)
+        U = self.initial_guess()
         U[self.free] = x_f
-        U[self.bdata.dofs] = self.bdata.values
         return U
 
     # -- field evaluation ----------------------------------------------

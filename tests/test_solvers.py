@@ -67,6 +67,14 @@ class TestKrylov:
         assert info["converged"]
         assert np.abs(A @ x - b).max() < 1e-6
 
+    @pytest.mark.parametrize("field", ["restart", "max_iters"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_empty_budget_rejected(self, field, value):
+        """A restart cycle with no step would never return."""
+        params = dataclasses.replace(KrylovParams(), **{field: value})
+        with pytest.raises(ValueError, match=f"{field}.*>= 1, got {value}$"):
+            krylov_solve(np.eye(3), np.ones(3), params=params)
+
 
 def reference_gmres(A, b, M, restart, rtol, max_iters):
     """Textbook restarted right-preconditioned GMRES: modified Gram-Schmidt
@@ -159,19 +167,28 @@ class TestKrylovMatchesReference:
         assert np.abs(A @ x - b).max() < 1e-14
 
 
+def jacobi_blocks(st, P):
+    """The four diagonal blocks of the constrained static normal matrix,
+    in the preconditioner's block order."""
+    A0 = st.normal_matrix_static()
+    idx = np.flatnonzero(st.free)
+    return [A0[idx[sl]][:, idx[sl]] for sl in P.block_slices]
+
+
 class TestBlockJacobi:
     def test_blocks_are_spd_and_apply_matches(self):
         st = small_state()
         P = build_block_jacobi(st)
         assert len(P.factors) == 4
-        for blk in P.blocks:
+        blocks = jacobi_blocks(st, P)
+        for blk in blocks:
             dense = blk.toarray()
             w = np.linalg.eigvalsh(0.5 * (dense + dense.T))
             assert w.min() > 0
         rng = np.random.default_rng(4)
         v = rng.standard_normal(P.n)
         out = P(v)
-        for sl, blk in zip(P.block_slices, P.blocks):
+        for sl, blk in zip(P.block_slices, blocks):
             assert np.abs(blk @ out[sl] - v[sl]).max() < 1e-8
 
     def test_batched_apply_matches_sparse_block_solves(self):
@@ -181,7 +198,7 @@ class TestBlockJacobi:
         rng = np.random.default_rng(6)
         v = rng.standard_normal(P.n)
         out = P(v)
-        for sl, blk in zip(P.block_slices, P.blocks):
+        for sl, blk in zip(P.block_slices, jacobi_blocks(st, P)):
             ref = spla.spsolve(blk.tocsc(), v[sl])
             assert np.linalg.norm(out[sl] - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -195,9 +212,9 @@ class TestBlockJacobi:
     def test_singular_interior_block_named(self, monkeypatch):
         st = small_state()
         st.normal_matrix_static()
-        A_el = st.element_static_blocks().copy()
-        A_el[4, :2 * st.trial.nk] = 0.0         # one element's Q rows vanish
-        monkeypatch.setattr(st, "element_static_blocks", lambda: A_el)
+        W = st.cache.W.copy()
+        W[4, :, :2 * st.trial.nk] = 0.0         # one element's Q columns vanish
+        monkeypatch.setattr(st.cache, "W", W)
         with pytest.raises(RuntimeError, match="factorization of block P11 failed"):
             build_block_jacobi(st)
 
@@ -245,7 +262,7 @@ class TestLineSearch:
         assert lam == pytest.approx(0.1, rel=1e-14)
 
     def test_gives_up_at_lambda_min(self):
-        lam, _ = cubic_line_search(lambda l: 1.0 + l, lambda_min=1e-4)
+        lam, _ = cubic_line_search(lambda l: 1.0 + l)
         assert lam == pytest.approx(1e-4)
 
 

@@ -83,11 +83,11 @@ def reference_condensation(state, N, D):
     p = reference_trace_pattern(st)
     nk3 = 3 * st.trial.nk
     off = st.trial.offset_qhat
-    W = st.cache.W
+    W, ZD = st.cache.W, st.cache.Z @ D
     A = np.swapaxes(W, 1, 2) @ W
-    b = st._element_rhs(N, D)
+    b = st._element_rhs(st._whitened_source(N), ZD)
     A_i = A[:, :nk3].copy()
-    A_i[:, st._c_psi] -= np.swapaxes(D, 1, 2) @ np.swapaxes(st.P_tau, 1, 2)
+    A_i[:, st._c_psi] -= np.swapaxes(ZD, 1, 2) @ W[:, st._tau]
     A_ti = A[:, nk3:, :nk3]
     sol = np.linalg.solve(A_i[:, :, :nk3],
                           np.concatenate([A_i[:, :, nk3:], b[:, :nk3, None]], axis=2))
@@ -141,38 +141,44 @@ class TestResidualAndEnergy:
         assert np.all(per_el >= 0)
 
     def test_riesz_representative_solves_gram_system(self, nl_state):
-        """The whitened products of the state, P_tau = B^T G^{-1} E_tau and
-        Gtt = E_tau^T G^{-1} E_tau, equal the Riesz representatives
-        G_K^{-1} E_tau of the tau moments from a dense Gram solve."""
+        """The element right-hand sides from the whitened stacks equal
+        B^T y - D^T y_tau with y = G_K^{-1} E_tau (N + F_L), the Riesz
+        representative of the tau moments from a dense Gram solve."""
         st = nl_state
         n = st.test.nks
         B, G = st.cache.matrices()
+        N, D = st.sources(random_iterate(st, seed=8))
+        b = st._element_rhs(st._whitened_source(N), st.cache.Z @ D)
         E_tau = np.zeros((3 * n, n))
         E_tau[st._tau] = np.eye(n)
         for t in (0, 3):
-            y = np.linalg.solve(G[t], E_tau)
-            assert np.abs(G[t] @ y - E_tau).max() < 1e-9
-            assert np.abs(st.P_tau[t] - B[t].T @ y).max() < 1e-9 * np.abs(st.P_tau[t]).max()
-            assert np.abs(st.Gtt[t] - y[st._tau]).max() < 1e-9 * np.abs(st.Gtt[t]).max()
+            y = np.linalg.solve(G[t], E_tau @ (N[t] + st.L[t]))
+            assert np.abs(G[t] @ y - E_tau @ (N[t] + st.L[t])).max() < 1e-9
+            want = B[t].T @ y
+            want[st._c_psi] -= D[t].T @ y[st._tau]
+            assert np.abs(b[t] - want).max() < 1e-9 * np.abs(want).max()
 
 
 class TestRetainedMemory:
     def test_solved_state_keeps_only_whitened_stacks(self):
-        """After a solve, the ndarrays a state and its element cache hold
-        come to at most 40 KB per element at k=2 (B_K and L_K kept beside
-        W would make 66 KB), and no (T, 3n, 3n) Gram-sized stack is kept."""
+        """After a direct solve, the ndarrays a state and its element cache
+        hold come to at most 30 KB per element at k=2 (B_K and L_K kept
+        beside W would make 66 KB, the products W^T Z and Z^T Z 34 KB), and
+        no (T, 3n, 3n) Gram-sized, (T, ncols, ncols) normal-matrix or
+        (T, ncols, n) stack is kept."""
         prob = get_problem("manufactured")
         st = GlobalState(build_builtin_mesh(prob.boundary, (8, 4)), prob, k=2)
         assert solve_nonlinear(st).converged
-        T, n = st.mesh.n_triangles, st.test.nks
+        T, n, m = st.mesh.n_triangles, st.test.nks, st.trial.n_local()
         held = {}
         for obj in (st, st.cache):
             for a in vars(obj).values():
                 if isinstance(a, np.ndarray):
                     base = a if a.base is None else a.base
                     held[id(base)] = base
-        assert not [a.shape for a in held.values() if a.shape == (T, 3 * n, 3 * n)]
-        assert sum(a.nbytes for a in held.values()) / T <= 40e3
+        assert not [a.shape for a in held.values()
+                    if a.shape in ((T, 3 * n, 3 * n), (T, m, m), (T, m, n))]
+        assert sum(a.nbytes for a in held.values()) / T <= 30e3
 
 
 class TestSourceMoments:
@@ -350,9 +356,10 @@ class TestCondensedSolve:
 
     def test_direct_solve_builds_static_blocks_once(self, monkeypatch):
         """A direct nonlinear solve eliminates q from blocks built once per
-        state and never forms the (T, ncols, ncols) static stack."""
+        state and never assembles the static normal matrix, the only place
+        that forms the (T, ncols, ncols) stack W^T W."""
         calls = []
-        monkeypatch.setattr(GlobalState, "element_static_blocks",
+        monkeypatch.setattr(GlobalState, "normal_matrix_static",
                             lambda self: calls.append(1))
         prob = get_problem("rect-amr")
         st = GlobalState(build_builtin_mesh(prob.boundary, (3, 3)), prob, k=1)
@@ -360,7 +367,7 @@ class TestCondensedSolve:
         blocks = (st._F, st._FP, st._H)
         assert solve_nonlinear(st).converged
         assert all(a is b for a, b in zip((st._F, st._FP, st._H), blocks))
-        assert not calls and st._A0_el is None
+        assert not calls and st._A0 is None
 
 
 class TestLaggedTraceSolve:

@@ -1,21 +1,26 @@
 """Element-level assembly of the ultraweak bilinear blocks and Gram matrices.
 
-All elements are built at once as stacked ``(T, ...)`` arrays, with no loop
-over elements: the dense rectangular matrices B_K (enriched test rows x
-local trial columns) and the SPD Gram matrices G_K = L_K L_K^T of the broken
-test inner product.  G_K enters only through its inverse, so one triangular
-solve per element whitens B_K, and only L_K^{-1} B_K is kept, with the
-quadrature points and weights and the DOF map.
-Elements share the reference tables and differ only through their affine
-maps, edge orientations and the radius r at the quadrature points.  The
-source moments N_K, D_K, L_K of the nonlinear right-hand side are computed
-for all elements with one call of each source function.
+All elements are built at once as stacked ``(T, ...)`` arrays: the dense
+rectangular matrices B_K (enriched test rows x local trial columns) and the
+SPD Gram matrices G_K of the broken test inner product.  A volume term
+depends on the element only through det, inv_T and the vertex radii (r is
+affine), so each volume block is one GEMM of (T, m) element coefficients
+with m reference tables; the edge terms gather reference tables by local
+vertex pair.  G_K enters only through its inverse and is factored by its
+phi and tau blocks, L_p = chol(G_pp) and L_t = chol(G_tt - C C^T) with
+C = G_tp L_p^{-T} (zero in the standard norm).  Only W_K = L_K^{-1} B_K and
+Z_K = L_t^{-1} are kept, with the quadrature points and weights and the DOF
+map.  The source moments N_K, D_K, L_K, nonlinear in psi, stay quadrature
+sums: one call of each source function for all elements.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dpotrf
 
 from .basis import (
     default_edge_degree,
@@ -34,31 +39,62 @@ class SourceEvaluationError(Exception):
     pass
 
 
-def _moments(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stacked sum_q a[t, q, i] w[t, q] b[t, q, j]; a and b may be shared
-    reference tables (nq, .)."""
-    return np.swapaxes(a * w[..., None], -1, -2) @ b
+def _ref(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Reference table sum_q w[q] a[q, i] b[q, j]."""
+    return (a * w[:, None]).T @ b
+
+
+def _unit(shape, i: int, j: int) -> np.ndarray:
+    """kron(_unit(shape, i, j), X) puts X at block (i, j) of a grid."""
+    e = np.zeros(shape)
+    e[i, j] = 1.0
+    return e
+
+
+def _gemm(coefs, tables) -> np.ndarray:
+    """Stacked sum_m coefs[m][t] tables[m], one (T, m) x (m, .) GEMM."""
+    tables = np.asarray(tables)
+    return (np.stack(coefs, axis=1) @ tables.reshape(len(tables), -1)).reshape(
+        -1, *tables.shape[1:])
+
+
+def _put_cols(dst: np.ndarray, src: np.ndarray, runs) -> None:
+    """Scatter the columns of src, in order, into the column slices ``runs``
+    of dst (slices, not an index array: several times faster)."""
+    i = 0
+    for run in runs:
+        dst[..., run] = src[..., i:i + run.stop - run.start]
+        i += run.stop - run.start
+
+
+def _solve_lower(L: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """X[t] <- L[t]^{-1} X[t] for C-contiguous stacks, L lower triangular,
+    in place: L Y = X is Y^T L^T = X^T, one right-sided dtrsm per element on
+    the F-contiguous transposed views, so nothing is copied."""
+    for Lt, Xt in zip(L, X):
+        dtrsm(1.0, Lt.T, Xt.T, side=1, overwrite_b=1)
+    return X
 
 
 class ElementCache:
     """Whitened element operators and quadrature data of one mesh.
 
     For T elements, n = test.nks test functions per component and nq volume
-    quadrature points, with G_K = L_K L_K^T the Cholesky factorization of
-    the Gram matrix and E_tau the injection of tau moments into the test
-    rows:
+    quadrature points, with G_K = L_K L_K^T the block Cholesky factorization
+    of the Gram matrix (L_t its tau block) and E_tau the injection of tau
+    moments into the test rows:
 
-    - ``W``    (T, 3n, ncols): L_K^{-1} B_K;
-    - ``Z``    (T, n, n): tau block of L_K^{-1} E_tau (L_K is lower
-      triangular and the tau rows come last, so L_K^{-1} E_tau vanishes
-      above them);
+    - ``W``    (T, 3n, ncols): L_K^{-1} B_K, exactly zero where B_K's phi
+      rows are (qhat columns) and, in the standard norm, where its tau
+      rows are (psi and psihat columns);
+    - ``Z``    (T, n, n): the tau block of L_K^{-1} E_tau, which is L_t^{-1};
     - ``pts``  (T, nq, 2) and ``w`` (T, nq): physical quadrature points and
       weights;
     - ``cols`` (T, ncols): local-to-global trial DOF map.
 
-    B_K, G_K and L_K are not kept; ``matrices()`` builds B_K and G_K again.
-    Test rows are ordered (phi_r, phi_z, tau), trial columns as in
-    ``TrialSpace.element_dofs``.
+    B_K, G_K and their factors are not kept; ``matrices()`` assembles B_K
+    and G_K again from the same kernels.  Test rows are ordered (phi_r,
+    phi_z, tau), trial columns as in ``TrialSpace.element_dofs``.
     """
 
     def __init__(self, mesh: Mesh, trial: TrialSpace, test: TestSpace,
@@ -79,9 +115,13 @@ class ElementCache:
         self.uv, _ = trial.q_basis.eval(self.vol_rule.points)
         # TU[q, i * nk + j] = tv[q, i] uv[q, j]: the D moments are one GEMM
         self.TU = (self.tv[:, :, None] * self.uv[:, None, :]).reshape(len(self.tv), -1)
-        self.n = test.nks
-        self.nk = trial.nk
-        self.n_cols = trial.n_local()
+        self.n = n = test.nks
+        self.nk = nk = trial.nk
+        self.n_cols = nc = trial.n_local()
+        # column runs of B_K's nonzero phi rows (all but qhat) and tau rows
+        # (q and qhat)
+        self.c_phi = (slice(0, 3 * nk), slice(nc - 3 * (k + 2), nc))
+        self.c_tau = (slice(0, 2 * nk), slice(3 * nk, nc - 3 * (k + 2)))
 
         _, _, det = mesh.geometry
         elements = np.arange(mesh.n_triangles)
@@ -89,78 +129,82 @@ class ElementCache:
         self.pts = mesh.map_to_physical(elements, self.vol_rule.points)
         self.cols = trial.element_dofs(elements)
 
-        B, G = self.matrices()
-        L = self._cholesky(G)
-        del G  # freed before W is allocated
-        # per-element triangular solves on [B_K | E_tau] beat a stacked solve
-        n, nc = self.n, self.n_cols
-        tau = slice(2 * n, 3 * n)
-        self.W = W = np.empty_like(B)
-        self.Z = Z = np.empty((len(B), n, n))
-        rhs = np.zeros((3 * n, nc + n))
-        rhs[tau, nc:] = np.eye(n)
-        for t in range(len(B)):
-            rhs[:, :nc] = B[t]
-            X = solve_triangular(L[t], rhs, lower=True, check_finite=False)
-            W[t] = X[:, :nc]
-            Z[t] = X[tau, nc:]
+        G_pp, G_tt, G_tp = self._gram_blocks()
+        L_p = self._cholesky(G_pp)
+        B_p, B_t = self._b_blocks()
+        _solve_lower(L_p, B_p)                                   # W_phi
+        if G_tp is not None:
+            Ct = _solve_lower(L_p, np.swapaxes(G_tp, 1, 2).copy())  # C^T
+            G_tt -= np.swapaxes(Ct, 1, 2) @ Ct
+        del L_p, G_pp
+        L_t = self._cholesky(G_tt)
+        self.W = W = np.zeros((len(B_p), 3 * n, nc))
+        _put_cols(W[:, :2 * n], B_p, self.c_phi)
+        del B_p
+        t_cols = self.c_tau
+        if G_tp is not None:  # the tau rows B_tau - C W_phi are dense
+            _put_cols(W[:, 2 * n:], B_t, self.c_tau)
+            B_t, t_cols = W[:, 2 * n:] - np.swapaxes(Ct, 1, 2) @ W[:, :2 * n], (slice(0, nc),)
+        rhs = np.concatenate([B_t, np.broadcast_to(np.eye(n), (len(B_t), n, n))], axis=2)
+        del B_t
+        _solve_lower(L_t, rhs)                                   # [W_tau | Z]
+        _put_cols(W[:, 2 * n:], rhs, t_cols)
+        self.Z = np.ascontiguousarray(rhs[..., -n:])
 
     # -- element matrices ----------------------------------------------
 
     def matrices(self):
         """Stacked element matrices B (T, 3n, ncols) and Gram matrices
-        G (T, 3n, 3n), built from the quadrature definitions."""
-        _, inv_T, _ = self.mesh.geometry
-        _, tg_ref = self.test.basis.eval(self.vol_rule.points)
-        # physical test gradients: g_a[t, q, i] = inv_T[t, a, b] g_ref[q, i, b]
-        gx = np.einsum("tb,qib->tqi", inv_T[:, 0], tg_ref)
-        gy = np.einsum("tb,qib->tqi", inv_T[:, 1], tg_ref)
-        return self._element_matrices(gx, gy), self._gram(gx, gy)
+        G (T, 3n, 3n), assembled from the block kernels."""
+        n = self.n
+        B_p, B_t = self._b_blocks()
+        B = np.zeros((len(B_p), 3 * n, self.n_cols))
+        _put_cols(B[:, :2 * n], B_p, self.c_phi)
+        _put_cols(B[:, 2 * n:], B_t, self.c_tau)
+        G_pp, G_tt, G_tp = self._gram_blocks()
+        if G_tp is None:
+            G_tp = np.zeros((len(G_tt), n, 2 * n))
+        return B, np.block([[G_pp, np.swapaxes(G_tp, 1, 2)], [G_tp, G_tt]])
 
-    def _element_matrices(self, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    def _volume_data(self):
+        """Reference weights, barycentric coordinates (3, nq) and test
+        gradients (2, nq, n); element inv_T, det and vertex radii (T, 3)."""
+        mesh, (x, y) = self.mesh, self.vol_rule.points.T
+        _, inv_T, det = mesh.geometry
+        return (self.vol_rule.weights, np.stack([1.0 - x - y, x, y]),
+                np.moveaxis(self.test.basis.eval(self.vol_rule.points)[1], -1, 0),
+                inv_T, det, mesh.vertices[mesh.triangles, 0])
+
+    def _b_blocks(self):
+        """B_K's phi rows on the columns ``c_phi``, B_p (T, 2n, .), and its
+        tau rows on ``c_tau``, B_t (T, n, .)."""
         n, nk = self.n, self.nk
         mesh, trial = self.mesh, self.trial
-        T = mesh.n_triangles
-        w, r = self.w, self.pts[:, :, 0]
-
-        B = np.zeros((T, 3 * n, self.n_cols))
-        sl_phir = slice(0, n)
-        sl_phiz = slice(n, 2 * n)
-        sl_tau = slice(2 * n, 3 * n)
-        c_qr = slice(0, nk)
-        c_qz = slice(nk, 2 * nk)
-        c_psi = slice(2 * nk, 3 * nk)
-
-        # (r q, phi): componentwise weighted mass
-        Mr = _moments(self.tv, w * r, self.uv)
-        B[:, sl_phir, c_qr] = Mr
-        B[:, sl_phiz, c_qz] = Mr
-        # -(psi, div phi) and -(q, grad tau)
-        Dx = _moments(gx, w, self.uv)
-        Dy = _moments(gy, w, self.uv)
-        B[:, sl_phir, c_psi] = -Dx
-        B[:, sl_phiz, c_psi] = -Dy
-        B[:, sl_tau, c_qr] = -Dx
-        B[:, sl_tau, c_qz] = -Dy
+        T, kq, kp = mesh.n_triangles, trial.k + 1, trial.k + 2
+        wv, lam, g, inv_T, det, r_v = self._volume_data()
+        # volume terms, zero on the edge columns: (r q, phi) = det sum_v r_v
+        # Mr_v on both components, -(psi, div phi) and -(q, grad tau) =
+        # -det sum_b inv_T[:, a, b] D_b on component a
+        D = [_ref(wv, gb, self.uv) for gb in g]
+        ab = list(itertools.product(range(2), repeat=2))
+        B_p = _gemm([det * r_v[:, v] for v in range(3)] + [det * inv_T[:, a, b] for a, b in ab],
+                    np.pad([np.kron(np.eye(2, 3), _ref(wv * lv, self.tv, self.uv)) for lv in lam]
+                           + [np.kron(_unit((2, 3), a, 2), -D[b]) for a, b in ab],
+                           ((0, 0), (0, 0), (0, 3 * kp))))
+        B_t = _gemm([det * inv_T[:, a, b] for a, b in ab],
+                    np.pad([np.kron(_unit((1, 2), 0, a), -D[b]) for a, b in ab],
+                           ((0, 0), (0, 0), (0, 3 * kq))))
 
         # skeleton terms: the test functions on local edge le, traversed from
         # its lower to its higher global vertex, depend only on the local
         # indices (l_lo, l_hi) of those vertices, so six reference tables
         # serve every element
-        t_e = self.edg_rule.points[:, 0]
-        qhat_vals, _ = trial.qhat_basis.eval(t_e)
-        psihat_vals, _ = trial.psihat_basis.eval(t_e)
-        kq, kp = trial.k + 1, trial.k + 2
-        Eq = np.zeros((3, 3, n, kq))
-        Ep = np.zeros((3, 3, n, kp))
-        for a in range(3):
-            for b in range(3):
-                if a != b:
-                    ref = _REF_VERTS[a] + t_e[:, None] * (_REF_VERTS[b] - _REF_VERTS[a])
-                    tvals, _ = self.test.basis.eval(ref)
-                    tw = tvals * self.edg_rule.weights[:, None]
-                    Eq[a, b] = tw.T @ qhat_vals
-                    Ep[a, b] = tw.T @ psihat_vals
+        t_e, w_e = self.edg_rule.points[:, 0], self.edg_rule.weights
+        V = _REF_VERTS[:, None, None]     # edge points (a, b, q) from vertex a to b
+        tw = self.test.basis.eval((V + t_e[:, None] * (_REF_VERTS[:, None] - V)).reshape(-1, 2))[0]
+        tw = tw.reshape(3, 3, len(t_e), n) * w_e[:, None]      # a == b unused
+        Eq = np.swapaxes(tw, 2, 3) @ trial.qhat_basis.eval(t_e)[0]
+        Ep = np.swapaxes(tw, 2, 3) @ trial.psihat_basis.eval(t_e)[0]
         e = mesh.tri_edges
         lo_hi = mesh.edges[e]                                  # (T, 3, 2)
         loc = np.argmax(mesh.triangles[:, None, None, :] == lo_hi[..., None], axis=-1)
@@ -168,57 +212,53 @@ class ElementCache:
         sign = mesh.tri_edge_sign
         length = mesh.edge_lengths[e]
         n_out = sign[..., None] * mesh.edge_normals[e]         # (T, 3, 2)
+        # <qhat_n, tau> with the orientation sign, <psihat, n . phi> with the
+        # element outward normal, through views splitting the edge columns
+        np.multiply(Eq[l_lo, l_hi].transpose(0, 2, 1, 3), (sign * length)[:, None, :, None],
+                    out=B_t[..., 2 * nk:].reshape(T, n, 3, kq))
+        np.multiply(Ep[l_lo, l_hi].transpose(0, 2, 1, 3)[:, None],
+                    (n_out * length[..., None]).transpose(0, 2, 1)[:, :, None, :, None],
+                    out=B_p[..., 3 * nk:].reshape(T, 2, n, 3, kp))
+        return B_p, B_t
 
-        def by_edge(blocks):  # (T, 3, n, m) -> (T, n, 3m), local edges in order
-            return blocks.transpose(0, 2, 1, 3).reshape(T, n, -1)
-
-        c_qh = slice(3 * nk, 3 * nk + 3 * kq)
-        c_ph = slice(3 * nk + 3 * kq, self.n_cols)
-        # <qhat_n, tau> with the orientation sign
-        B[:, sl_tau, c_qh] = by_edge((sign * length)[..., None, None] * Eq[l_lo, l_hi])
-        # <psihat, n . phi> with the element outward normal
-        Tp = length[..., None, None] * Ep[l_lo, l_hi]
-        B[:, sl_phir, c_ph] = by_edge(n_out[..., 0, None, None] * Tp)
-        B[:, sl_phiz, c_ph] = by_edge(n_out[..., 1, None, None] * Tp)
-        return B
-
-    def _gram(self, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
-        """Stacked symmetric Gram matrices."""
-        n, tv, w = self.n, self.tv, self.w
-        M = _moments(tv, w, tv)
-        Kxx = _moments(gx, w, gx)
-        Kxy = _moments(gx, w, gy)
-        Kyy = _moments(gy, w, gy)
-        G = np.zeros((len(w), 3 * n, 3 * n))
-        blk = [slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)]
-        # ||div phi||^2 plus the L2 mass of each component, in both norms
-        G[:, blk[0], blk[0]] = M + Kxx
-        G[:, blk[0], blk[1]] = Kxy
-        G[:, blk[1], blk[0]] = np.swapaxes(Kxy, 1, 2)
-        G[:, blk[1], blk[1]] = M + Kyy
-        # ||grad tau||^2: standard, or ||r phi - grad tau||^2: adjoint graph
-        G[:, blk[2], blk[2]] = M + Kxx + Kyy
-        if self.norm == ADJOINT_GRAPH:
-            wr = w * self.pts[:, :, 0]
-            R2 = _moments(tv, wr * self.pts[:, :, 0], tv)
-            G[:, blk[0], blk[0]] += R2
-            G[:, blk[1], blk[1]] += R2
-            G[:, blk[2], blk[0]] = -_moments(gx, wr, tv)
-            G[:, blk[2], blk[1]] = -_moments(gy, wr, tv)
-            G[:, :2 * n, blk[2]] = np.swapaxes(G[:, blk[2], :2 * n], 1, 2)
-        return G
+    def _gram_blocks(self):
+        """Gram blocks G_pp (T, 2n, 2n), G_tt (T, n, n) and G_tp (T, n, 2n),
+        None in the standard norm, where it vanishes."""
+        wv, lam, g, inv_T, det, r_v = self._volume_data()
+        M = _ref(wv, self.tv, self.tv)
+        K = [[_ref(wv, gb, gd) for gd in g] for gb in g]
+        # ||phi||^2 + ||div phi||^2, the divergence term's block (a, c) being
+        # sum_bd inv_T[:, a, b] inv_T[:, c, d] K_bd, and ||tau||^2 plus
+        # ||grad tau||^2 (standard) or ||r phi - grad tau||^2 (adjoint graph)
+        acbd = list(itertools.product(range(2), repeat=4))
+        pp_coef = [det] + [det * inv_T[:, a, b] * inv_T[:, c, d] for a, c, b, d in acbd]
+        pp_tab = [np.kron(np.eye(2), M)] + [np.kron(_unit((2, 2), a, c), K[b][d])
+                                           for a, c, b, d in acbd]
+        JJ = np.swapaxes(inv_T, 1, 2) @ inv_T
+        ab = list(itertools.product(range(2), repeat=2))
+        G_tt = _gemm([det] + [det * JJ[:, b, d] for b, d in ab], [M] + [K[b][d] for b, d in ab])
+        if self.norm == STANDARD:
+            return _gemm(pp_coef, pp_tab), G_tt, None
+        # with r = sum_v r_v lam_v: ||r phi||^2 = det sum_vu r_v r_u R_vu per
+        # component, -(r phi_a, grad tau) = -det sum_bv inv_T[:, a, b] r_v C_bv
+        vu = list(itertools.product(range(3), repeat=2))
+        pp_coef += [det * r_v[:, v] * r_v[:, u] for v, u in vu]
+        pp_tab += [np.kron(np.eye(2), _ref(wv * lam[v] * lam[u], self.tv, self.tv))
+                   for v, u in vu]
+        abv = list(itertools.product(range(2), range(2), range(3)))
+        G_tp = _gemm([det * inv_T[:, a, b] * r_v[:, v] for a, b, v in abv],
+                     [np.kron(_unit((1, 2), 0, a), -_ref(wv * lam[v], g[b], self.tv))
+                      for a, b, v in abv])
+        return _gemm(pp_coef, pp_tab), G_tt, G_tp
 
     @staticmethod
     def _cholesky(G: np.ndarray) -> np.ndarray:
-        try:
-            return np.linalg.cholesky(G)
-        except np.linalg.LinAlgError:
-            for t in range(len(G)):
-                try:
-                    np.linalg.cholesky(G[t])
-                except np.linalg.LinAlgError as exc:
-                    raise RuntimeError(f"Gram Cholesky failed on element {t}") from exc
-            raise
+        """C-contiguous stacked G overwritten by its lower Cholesky factors:
+        dpotrf of the upper factor L^T on each F-contiguous transposed view."""
+        for t, Gt in enumerate(G):
+            if dpotrf(Gt.T, overwrite_a=1)[1]:
+                raise RuntimeError(f"Gram Cholesky failed on element {t}")
+        return G
 
     # -- source moments -------------------------------------------------
 

@@ -8,8 +8,9 @@ from gsdpg.assembly import (
     SourceEvaluationError,
 )
 from gsdpg.basis import triangle_rule
-from gsdpg.mesh import Mesh, build_builtin_mesh, rectangle_curve
-from scipy.linalg import solve_triangular
+from gsdpg.mesh import Mesh, bisect_conforming, build_builtin_mesh, rectangle_curve
+from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dpotrf
 
 from gsdpg.problems import solovev_problem
 from gsdpg.spaces import _REF_VERTS, TestSpace, TrialSpace
@@ -17,6 +18,16 @@ from gsdpg.spaces import _REF_VERTS, TestSpace, TrialSpace
 
 def small_mesh():
     return build_builtin_mesh(rectangle_curve(0.5, 1.5, 0.0, 1.0), (2, 2))
+
+
+def axis_mesh():
+    """Rectangle r in [1e-2, 1] with the elements at the axis midpoint
+    bisected six times: r spans two orders of magnitude."""
+    mesh = build_builtin_mesh(rectangle_curve(1e-2, 1.0, -0.5, 0.5), (4, 4))
+    for _ in range(6):
+        c = mesh.vertices[mesh.triangles].mean(axis=1)
+        mesh = bisect_conforming(mesh, [np.argmin(np.hypot(c[:, 0], c[:, 1]))])
+    return mesh
 
 
 def make_cache(mesh, k=2, s=2, norm=STANDARD):
@@ -118,33 +129,75 @@ def reference_element(cache, t):
     return B, 0.5 * (G + G.T)
 
 
+def lower_solve(L, X):
+    """L^{-1} X as the right-sided dtrsm X^T L^{-T} of the kernel."""
+    return dtrsm(1.0, L.T, X.T, side=1).T
+
+
+def lower_cholesky(G):
+    """Lower Cholesky factor as the kernel's dpotrf of the upper L^T."""
+    return dpotrf(G.T)[0].T
+
+
+def block_whitening(cache, B, G):
+    """(W_K, Z_K) of one element by the definition: L_p = chol(G_pp),
+    C = G_tp L_p^{-T}, L_t = chol(G_tt - C C^T), W_phi = L_p^{-1} B_phi and
+    [W_tau | Z] = L_t^{-1} [B_tau - C W_phi | I], each solve on the columns
+    where its right-hand side may be nonzero."""
+    n = cache.n
+    p, tau = slice(0, 2 * n), slice(2 * n, 3 * n)
+    c_phi, c_tau = np.r_[cache.c_phi], np.r_[cache.c_tau]
+    W = np.zeros_like(B)
+    L_p = lower_cholesky(G[p, p])
+    W[p, c_phi] = lower_solve(L_p, B[p][:, c_phi])
+    S, R, cols = G[tau, tau], B[tau][:, c_tau], c_tau
+    if cache.norm == ADJOINT_GRAPH:
+        Ct = lower_solve(L_p, G[p, tau])
+        S = S - Ct.T @ Ct
+        R, cols = B[tau] - Ct.T @ W[p], np.arange(cache.n_cols)
+    X = lower_solve(lower_cholesky(S), np.hstack([R, np.eye(n)]))
+    W[tau, cols] = X[:, :-n]
+    return W, X[:, -n:]
+
+
 KERNEL_CASES = [(k, norm) for k in (1, 2, 3) for norm in (STANDARD, ADJOINT_GRAPH)]
 
 
 class TestStackedKernel:
-    @pytest.mark.parametrize("k,norm", KERNEL_CASES)
-    def test_matches_loop_reference(self, jittered_mesh, k, norm):
-        cache, _, _ = make_cache(jittered_mesh, k=k, norm=norm)
+    @staticmethod
+    def assert_matches_loop_reference(mesh, k, norm):
+        cache, _, _ = make_cache(mesh, k=k, norm=norm)
         B_all, G_all = cache.matrices()
-        for t in range(jittered_mesh.n_triangles):
+        for t in range(mesh.n_triangles):
             B, G = reference_element(cache, t)
             assert np.abs(B_all[t] - B).max() <= 1e-13 * np.abs(B).max()
             assert np.abs(G_all[t] - G).max() <= 1e-13 * np.abs(G).max()
 
     @pytest.mark.parametrize("k,norm", KERNEL_CASES)
+    def test_matches_loop_reference(self, jittered_mesh, k, norm):
+        self.assert_matches_loop_reference(jittered_mesh, k, norm)
+
+    @pytest.mark.parametrize("k,norm", KERNEL_CASES)
+    def test_matches_loop_reference_near_axis(self, k, norm):
+        """The affine-r tables (r q, phi), ||r phi||^2 and (r phi, grad tau)
+        on elements from r = 1e-2, where r varies by an order of magnitude
+        within one element, to r = 1."""
+        mesh = axis_mesh()
+        r = mesh.vertices[mesh.triangles, 0]
+        assert r.min() == 1e-2 and (r.max(axis=1) / r.min(axis=1)).max() > 10
+        self.assert_matches_loop_reference(mesh, k, norm)
+
+    @pytest.mark.parametrize("k,norm", KERNEL_CASES)
     def test_whitening_matches_per_element_reference(self, jittered_mesh, k, norm):
         """W = L^{-1} B and Z = tau block of L^{-1} E_tau, bit for bit as
-        one Cholesky factorization and triangular solve per element."""
-        cache, _, test = make_cache(jittered_mesh, k=k, norm=norm)
+        one block Cholesky factorization and block triangular solves per
+        element."""
+        cache, _, _ = make_cache(jittered_mesh, k=k, norm=norm)
         B, G = cache.matrices()
-        n, nc = test.nks, cache.n_cols
-        E_tau = np.zeros((3 * n, n))
-        E_tau[2 * n:] = np.eye(n)
         for t in range(jittered_mesh.n_triangles):
-            X = solve_triangular(np.linalg.cholesky(G[t]), np.hstack([B[t], E_tau]),
-                                 lower=True, check_finite=False)
-            assert np.array_equal(cache.W[t], X[:, :nc])
-            assert np.array_equal(cache.Z[t], X[2 * n:, nc:])
+            W, Z = block_whitening(cache, B[t], G[t])
+            assert np.array_equal(cache.W[t], W)
+            assert np.array_equal(cache.Z[t], Z)
 
     @pytest.mark.parametrize("k,norm", KERNEL_CASES)
     def test_whitened_blocks_match_gram_solve(self, jittered_mesh, k, norm):

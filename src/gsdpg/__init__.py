@@ -19,7 +19,6 @@ from .mesh import (
 from .problems import ProblemSpec, get_problem, linf_error, solovev_coefficients
 from .solvers import (
     AndersonParams,
-    BlockJacobiPreconditioner,
     FixedPointMap,
     KrylovParams,
     SolveResult,
@@ -35,7 +34,7 @@ from .system import GlobalState
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmrParams", "AndersonParams", "BlockJacobiPreconditioner", "BoundaryCurve",
+    "AmrParams", "AndersonParams", "BoundaryCurve",
     "FixedPointMap", "GlobalState", "KrylovParams", "MarkingParams", "Mesh",
     "MeshError", "MshParseError", "ProblemSpec", "SolveResult", "TestSpace",
     "TrialSpace", "amr_loop", "anderson_solve", "bisect_conforming",

@@ -67,12 +67,23 @@ def _put_cols(dst: np.ndarray, src: np.ndarray, runs) -> None:
         i += run.stop - run.start
 
 
-def _solve_lower(L: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """X[t] <- L[t]^{-1} X[t] for C-contiguous stacks, L lower triangular,
-    in place: L Y = X is Y^T L^T = X^T, one right-sided dtrsm per element on
-    the F-contiguous transposed views, so nothing is copied."""
+def _cholesky(G: np.ndarray, label: str = "Gram") -> np.ndarray:
+    """C-contiguous stacked SPD G overwritten by its lower Cholesky factors:
+    dpotrf of the upper factor L^T on each F-contiguous transposed view.  A
+    failure names ``label`` and the element."""
+    for t, Gt in enumerate(G):
+        if dpotrf(Gt.T, overwrite_a=1)[1]:
+            raise RuntimeError(f"{label} Cholesky failed on element {t}")
+    return G
+
+
+def _solve_lower(L: np.ndarray, X: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """X[t] <- L[t]^{-1} X[t] (L[t]^{-T} X[t] if ``transpose``) for
+    C-contiguous stacks, L lower triangular, in place: L Y = X is
+    Y^T L^T = X^T, one right-sided dtrsm per element on the F-contiguous
+    transposed views, so nothing is copied."""
     for Lt, Xt in zip(L, X):
-        dtrsm(1.0, Lt.T, Xt.T, side=1, overwrite_b=1)
+        dtrsm(1.0, Lt.T, Xt.T, side=1, trans_a=int(transpose), overwrite_b=1)
     return X
 
 
@@ -130,14 +141,14 @@ class ElementCache:
         self.cols = trial.element_dofs(elements)
 
         G_pp, G_tt, G_tp = self._gram_blocks()
-        L_p = self._cholesky(G_pp)
+        L_p = _cholesky(G_pp)
         B_p, B_t = self._b_blocks()
         _solve_lower(L_p, B_p)                                   # W_phi
         if G_tp is not None:
             Ct = _solve_lower(L_p, np.swapaxes(G_tp, 1, 2).copy())  # C^T
             G_tt -= np.swapaxes(Ct, 1, 2) @ Ct
         del L_p, G_pp
-        L_t = self._cholesky(G_tt)
+        L_t = _cholesky(G_tt)
         self.W = W = np.zeros((len(B_p), 3 * n, nc))
         _put_cols(W[:, :2 * n], B_p, self.c_phi)
         del B_p
@@ -250,15 +261,6 @@ class ElementCache:
                      [np.kron(_unit((1, 2), 0, a), -_ref(wv * lam[v], g[b], self.tv))
                       for a, b, v in abv])
         return _gemm(pp_coef, pp_tab), G_tt, G_tp
-
-    @staticmethod
-    def _cholesky(G: np.ndarray) -> np.ndarray:
-        """C-contiguous stacked G overwritten by its lower Cholesky factors:
-        dpotrf of the upper factor L^T on each F-contiguous transposed view."""
-        for t, Gt in enumerate(G):
-            if dpotrf(Gt.T, overwrite_a=1)[1]:
-                raise RuntimeError(f"Gram Cholesky failed on element {t}")
-        return G
 
     # -- source moments -------------------------------------------------
 

@@ -146,12 +146,21 @@ class Mesh:
             bad = first[count > 2].min()
             raise MeshError(f"edge {(int(lo[bad]), int(hi[bad]))} "
                             "adjacent to more than 2 triangles")
+        # counterclockwise neighbours traverse a shared edge in opposite
+        # directions; the same direction means overlapping or folded triangles
+        slot = np.arange(len(inv))
+        second = slot != first[inv]               # the other triangle's traversal
+        fwd = a < b
+        same = second & (fwd == fwd[first[inv]])
+        if same.any():
+            bad = np.argmax(same)
+            raise MeshError(f"edge {(int(lo[bad]), int(hi[bad]))} is traversed in the same "
+                            "direction by both its triangles (overlapping or folded mesh)")
         order = np.argsort(first)
         edge = np.argsort(order)[inv]
-        slot = np.arange(len(edge))
         self.edges = np.column_stack([lo[first[order]], hi[first[order]]])
         self.edge_tris = np.full((len(order), 2), -1)
-        self.edge_tris[edge, (slot != first[inv]).astype(int)] = slot // 3
+        self.edge_tris[edge, second.astype(int)] = slot // 3
         self.boundary_edge_flags = self.edge_tris[:, 1] < 0
         self.tri_edges = edge.reshape(t.shape)
         # orientation sign: +1 for the smaller-index adjacent triangle
@@ -239,7 +248,9 @@ def read_msh(text: str | bytes) -> Mesh:
     Only 2-node lines (boundary markers) and 3-node triangles are used; the
     third node coordinate is ignored.  Nodes that no triangle references
     (Gmsh writes one per geometry point) are dropped and the rest keep their
-    node-table order.  Errors carry the offending 1-based line number.
+    node-table order.  A repeated node id and a non-blank line outside a
+    ``$Section ... $EndSection`` block are errors; errors carry the
+    offending 1-based line number.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
@@ -299,6 +310,8 @@ def read_msh(text: str | bytes) -> Mesh:
                     raise MshParseError(f"line {no}: malformed node line {ln!r}")
                 if not (math.isfinite(r) and math.isfinite(z)):
                     raise MshParseError(f"line {no}: node {nid} has non-finite coordinates")
+                if nid in node_ids:
+                    raise MshParseError(f"line {no}: repeated node id {nid}")
                 node_ids[nid] = len(coords)
                 node_lines.append(no)
                 coords.append((r, z))
@@ -336,16 +349,17 @@ def read_msh(text: str | bytes) -> Mesh:
             ln, no = next_line()
             if ln != "$EndElements":
                 raise MshParseError(f"line {no}: expected $EndElements")
-        else:
+        elif ln.startswith("$") and not ln.startswith("$End"):
             # skip unknown section
-            if ln.startswith("$") and not ln.startswith("$End"):
-                end = "$End" + ln[1:]
-                while True:
-                    ln2, no2 = next_line()
-                    if ln2 is None:
-                        raise MshParseError(f"line {no}: unterminated section {ln}")
-                    if ln2 == end:
-                        break
+            end = "$End" + ln[1:]
+            while True:
+                ln2, no2 = next_line()
+                if ln2 is None:
+                    raise MshParseError(f"line {no}: unterminated section {ln}")
+                if ln2 == end:
+                    break
+        else:
+            raise MshParseError(f"line {no}: {ln!r} outside a $Section ... $EndSection block")
 
     if not tris:
         raise MshParseError("no triangles found in file")

@@ -46,60 +46,49 @@ class SolveResult:
 # -- block-Jacobi preconditioner --------------------------------------
 
 
-class BlockJacobiPreconditioner:
-    """Four diagonal blocks of B_L^T G^{-1} B_L, each solved directly.
+def build_block_jacobi(state: GlobalState):
+    """Four diagonal blocks of B_L^T G^{-1} B_L, each solved directly;
+    returns the map v -> P^{-1} v.
 
     Block ranges follow the global (Q, Psi, Qhat_n, Psihat) ordering of the
     constrained system: DOFs outside ``state.free`` are absent.  The
     interior blocks P11 (Q) and P22 (Psi) couple only within an element, so
     each element's W_q^T W_q and W_psi^T W_psi, from the whitened stack
     W = L^{-1} B, is inverted and applied with one batched product per
-    block; the two trace blocks keep a sparse direct factorization, which
-    replaces the multigrid inner solvers of large-scale settings.
+    block; the two trace blocks of the static normal matrix keep a sparse
+    direct factorization, which replaces the multigrid inner solvers of
+    large-scale settings.
     """
+    tr, free = state.trial, state.free
+    if not free[:tr.offset_qhat].all():
+        raise ValueError("block-Jacobi preconditioner needs every interior DOF free")
+    idx = np.flatnonzero(free)
+    ends = np.searchsorted(idx, [0, tr.offset_psi, tr.offset_qhat, tr.offset_psihat, tr.n_total])
+    slices = [slice(lo, hi) for lo, hi in zip(ends[:-1], ends[1:])]
+    W, nq = state.cache.W, 2 * tr.nk
+    A0 = state.normal_matrix_static().tocsr()
+    blocks = ([np.swapaxes(Wb, 1, 2) @ Wb for Wb in (W[:, :, :nq], W[:, :, nq:nq + tr.nk])]
+              + [A0[idx[sl]][:, idx[sl]].tocsc() for sl in slices[2:]])
+    factors = []
+    for b, P_bb in enumerate(blocks):
+        P_T = np.swapaxes(P_bb, 1, 2) if b < 2 else P_bb.T
+        asym = abs(P_bb - P_T).max() if P_bb.size else 0.0
+        if asym > 1e-10 * max(1.0, abs(P_bb).max()):
+            raise RuntimeError(f"preconditioner block {b + 1} is not symmetric")
+        try:
+            factors.append(np.linalg.inv(P_bb) if b < 2 else spla.splu(P_bb))
+        except (RuntimeError, np.linalg.LinAlgError) as exc:
+            raise RuntimeError(f"factorization of block P{b + 1}{b + 1} failed") from exc
 
-    def __init__(self, state: GlobalState):
-        A0 = state.normal_matrix_static().tocsr()
-        tr = state.trial
-        bounds = [0, tr.offset_psi, tr.offset_qhat, tr.offset_psihat, tr.n_total]
-        free = state.free
-        if not free[:tr.offset_qhat].all():
-            raise ValueError("block-Jacobi preconditioner needs every interior DOF free")
-        W = state.cache.W
-        nq = 2 * tr.nk
-        interior = [W[:, :, :nq], W[:, :, nq:nq + tr.nk]]
-        idx = np.nonzero(free)[0]
-        self.n = len(idx)
-        self.block_slices = []
-        self.factors = []
-        start = 0
-        for b in range(4):
-            sel = idx[(idx >= bounds[b]) & (idx < bounds[b + 1])]
-            sl = slice(start, start + len(sel))
-            start += len(sel)
-            P_bb = A0[sel][:, sel].tocsc()
-            asym = abs(P_bb - P_bb.T).max() if P_bb.nnz else 0.0
-            if asym > 1e-10 * max(1.0, abs(P_bb).max()):
-                raise RuntimeError(f"preconditioner block {b + 1} is not symmetric")
-            try:
-                self.factors.append(
-                    np.linalg.inv(np.swapaxes(interior[b], 1, 2) @ interior[b]) if b < 2
-                    else spla.splu(P_bb))
-            except (RuntimeError, np.linalg.LinAlgError) as exc:
-                raise RuntimeError(f"factorization of block P{b + 1}{b + 1} failed") from exc
-            self.block_slices.append(sl)
-
-    def __call__(self, v: np.ndarray) -> np.ndarray:
+    def apply(v: np.ndarray) -> np.ndarray:
         out = np.empty_like(v)
-        for sl, f in zip(self.block_slices[:2], self.factors[:2]):
+        for sl, f in zip(slices[:2], factors[:2]):
             out[sl] = (f @ v[sl].reshape(len(f), -1, 1)).ravel()
-        for sl, lu in zip(self.block_slices[2:], self.factors[2:]):
+        for sl, lu in zip(slices[2:], factors[2:]):
             out[sl] = lu.solve(v[sl])
         return out
 
-
-def build_block_jacobi(state: GlobalState):
-    return BlockJacobiPreconditioner(state)
+    return apply
 
 
 # -- fixed-point map ----------------------------------------------------

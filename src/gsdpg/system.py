@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import STANDARD, ElementCache
+from .assembly import STANDARD, ElementCache, _cholesky, _solve_lower
 from .krylov import KrylovParams, krylov_solve
 from .problems import ProblemSpec
 from .spaces import TestSpace, TrialSpace, interpolate_boundary
@@ -45,16 +45,11 @@ _LAGGED_GMRES = KrylovParams(restart=20, rtol=1e-12, max_iters=20)
 class _TracePattern:
     """CSC pattern of the free-free trace system of one mesh, indexed by the
     flattened element Schur-block entries: ``slot`` gives each entry's data
-    position (``len(indices)`` for entries that touch a boundary DOF), and
-    the ``coupling`` entries (free row, boundary column), with their free
-    row and boundary value, shift the right-hand side."""
+    position, ``len(indices)`` for entries that touch a boundary DOF."""
 
     slot: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
-    coupling: np.ndarray
-    coupling_rows: np.ndarray
-    coupling_g: np.ndarray
 
 
 class GlobalState:
@@ -220,11 +215,7 @@ class GlobalState:
         slot = np.where(ff, slot, indptr[-1]).ravel()
         indices = np.empty(indptr[-1], dtype=np.int32)
         indices[slot[ff.ravel()]] = np.broadcast_to(fidx[c_t][:, :, None], (T, m, m))[ff]
-        coupling = np.flatnonzero(fr[:, :, None] & ~fr[:, None, :]).astype(np.int32)
-        t, ab = np.divmod(coupling, m * m)
-        return _TracePattern(slot=slot, indices=indices, indptr=indptr,
-                             coupling=coupling, coupling_rows=fidx[c_t[t, ab // m]],
-                             coupling_g=self.initial_guess()[off:][c_t[t, ab % m]])
+        return _TracePattern(slot=slot, indices=indices, indptr=indptr)
 
     def solve_linearized(self, N, D, cache: dict | None = None) -> np.ndarray:
         """Solve A x = b by local elimination of interior fields.
@@ -233,19 +224,21 @@ class GlobalState:
         so they are condensed out and only the skeleton system S (normal
         traces plus psihat) is solved globally.  D enters only the psi rows,
         so q is eliminated once per state and each call
-        eliminates psi with one nk x nk solve per element.  Returns the full
-        trial vector with boundary values applied.
+        eliminates psi with one nk x nk solve per element.  Boundary data is
+        lifted element by element: each element right-hand side loses
+        S_K g_K, with g_K the boundary values on the element's trace DOFs
+        and 0 elsewhere.  Returns the full trial vector with boundary values
+        applied.
 
         ``cache`` (a dict owned by the caller, for one GlobalState) carries
         work from one call to the next.  The first call stores the CSC
-        pattern of S with the scatter maps that fill it and give its
-        boundary-shifted right-hand side, and the sparse LU of S.  Later
-        calls fill S with one ``bincount`` and solve it by flexible GMRES
-        right-preconditioned with that LU, to a relative residual of
-        ``_LAGGED_GMRES.rtol``; if GMRES misses its iteration cap, S is
-        refactored and solved directly, and the new LU is kept.  The caller
-        empties the cache to free the LU.  Without a cache, every call
-        factors afresh.
+        pattern of S with the scatter map that fills it, and the sparse LU
+        of S.  Later calls fill S with one ``bincount`` and solve it by
+        flexible GMRES right-preconditioned with that LU, to a relative
+        residual of ``_LAGGED_GMRES.rtol``; if GMRES misses its iteration
+        cap, S is refactored and solved directly, and the new LU is kept.
+        The caller empties the cache to free the LU.  Without a cache, every
+        call factors afresh.
         """
         cache = {} if cache is None else cache
         if "pattern" not in cache:
@@ -261,9 +254,9 @@ class GlobalState:
             # the reduced block H = A_rr - A_qr^T F, so that x_q = FP z - F x_r
             W_q, W_r = W[:, :, :nq], W[:, :, nq:]
             A_qr = np.swapaxes(W_q, 1, 2) @ W_r
-            L = np.linalg.cholesky(np.swapaxes(W_q, 1, 2) @ W_q)
-            sol = np.linalg.solve(np.swapaxes(L, 1, 2), np.linalg.solve(
-                L, np.concatenate([A_qr, np.swapaxes(W_q[:, self._tau], 1, 2)], axis=2)))
+            L = _cholesky(np.swapaxes(W_q, 1, 2) @ W_q, "q block")
+            sol = np.concatenate([A_qr, np.swapaxes(W_q[:, self._tau], 1, 2)], axis=2)
+            _solve_lower(L, _solve_lower(L, sol), transpose=True)
             self._F, self._FP = sol[:, :, :A_qr.shape[2]], sol[:, :, A_qr.shape[2]:]
             self._H = np.swapaxes(W_r, 1, 2) @ W_r - np.swapaxes(A_qr, 1, 2) @ self._F
         F, FP, H = self._F, self._FP, self._H
@@ -282,17 +275,17 @@ class GlobalState:
                               np.concatenate([H_psi[:, :, nk:], c[:, :nk, None]], axis=2))
         X, y_psi = sol[:, :, :-1], sol[:, :, -1]
         H_tp = H[:, nk:, :nk]
-        S_el = (H[:, nk:, nk:] - H_tp @ X).ravel()    # (T, ntr, ntr) flattened
-        r_el = c[:, nk:] - np.einsum("tij,tj->ti", H_tp, y_psi)
+        S_el = H[:, nk:, nk:] - H_tp @ X               # (T, ntr, ntr)
+        U = self.initial_guess()
+        c_t = self.cache.cols[:, nk3:]
+        r_el = (c[:, nk:] - np.einsum("tij,tj->ti", H_tp, y_psi)
+                - np.einsum("tij,tj->ti", S_el, U[c_t]))
 
         n_f = len(p.indptr) - 1
-        S = sp.csc_matrix((np.bincount(p.slot, S_el)[:len(p.indices)], p.indices, p.indptr),
-                          shape=(n_f, n_f))
+        S = sp.csc_matrix((np.bincount(p.slot, S_el.ravel())[:len(p.indices)], p.indices,
+                           p.indptr), shape=(n_f, n_f))
         free_t = self.free[off:]
-        rhs = np.bincount((self.cache.cols[:, nk3:] - off).ravel(), r_el.ravel(),
-                          minlength=len(free_t))
-        b_f = rhs[free_t] - np.bincount(p.coupling_rows, S_el[p.coupling] * p.coupling_g,
-                                        minlength=n_f)
+        b_f = np.bincount((c_t - off).ravel(), r_el.ravel(), minlength=len(free_t))[free_t]
 
         x_f = None
         if "lu" in cache:
@@ -306,7 +299,6 @@ class GlobalState:
                                     options=dict(SymmetricMode=True, DiagPivotThresh=0.01))
             x_f = cache["lu"].solve(b_f)
 
-        U = self.initial_guess()
         U[off:][free_t] = x_f
         x_r = U[self.cache.cols[:, nq:]]               # (psi, trace) per element
         x_r[:, :nk] = y_psi - np.einsum("tij,tj->ti", X, x_r[:, nk:])

@@ -16,6 +16,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from gsdpg.amr import AmrParams, MarkingParams, amr_loop, estimate, mark
+from gsdpg.assembly import ADJOINT_GRAPH, STANDARD
 from gsdpg.mesh import build_builtin_mesh, uniform_refine
 from gsdpg.problems import get_problem, linf_error
 from gsdpg.solvers import (
@@ -31,14 +32,14 @@ from gsdpg.system import GlobalState
 # helpers
 
 
-def run_convergence(problem_name, resolution, k, levels):
+def run_convergence(problem_name, resolution, k, levels, norm=STANDARD):
     """Solve on a uniformly refined hierarchy; return errors and timings."""
     prob = get_problem(problem_name)
     mesh = build_builtin_mesh(prob.boundary, resolution)
     out = {"err_psi": [], "err_q": [], "n_elements": [], "iters": []}
     t0 = time.monotonic()
     for lev in range(levels):
-        st = GlobalState(mesh, prob, k)
+        st = GlobalState(mesh, prob, k, norm=norm)
         res = solve_nonlinear(st)
         assert res.converged, f"{problem_name} k={k} level {lev}: {res.message}"
         out["err_psi"].append(linf_error(
@@ -198,6 +199,22 @@ class TestManufacturedConvergence:
 
     def test_k3_flux_errors_small(self, manufactured_k3):
         assert manufactured_k3["err_psi"][-1] < 1e-6
+
+    def test_adjoint_graph_norm_end_to_end(self):
+        """The adjoint-graph test norm: both inner solvers converge to the
+        same psi, and k=1 keeps the standard norm's order band."""
+        prob = get_problem("manufactured")
+        mesh = build_builtin_mesh(prob.boundary, (8, 2))
+        psi = []
+        for inner in ("direct", "gmres"):
+            st = GlobalState(mesh, prob, k=1, norm=ADJOINT_GRAPH)
+            res = solve_nonlinear(st, inner=inner)
+            assert res.converged, f"{inner}: {res.message}"
+            psi.append(st.interior_coeffs(res.U)[1])
+        assert np.abs(psi[1] - psi[0]).max() <= 1e-6 * np.abs(psi[0]).max()
+        study = run_convergence("manufactured", (8, 2), k=1, levels=3, norm=ADJOINT_GRAPH)
+        for o in study["order_psi"][-1:] + study["order_q"][-1:]:
+            assert 1.8 <= o <= 2.2
 
 
 # --------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from gsdpg.assembly import (
     STANDARD,
     ElementCache,
     SourceEvaluationError,
+    _cholesky,
 )
 from gsdpg.basis import triangle_rule
 from gsdpg.mesh import Mesh, bisect_conforming, build_builtin_mesh, rectangle_curve
@@ -214,7 +215,7 @@ class TestStackedKernel:
         G[2] *= -1.0
         G[3] *= -1.0
         with pytest.raises(RuntimeError, match="Gram Cholesky failed on element 2$"):
-            ElementCache._cholesky(G)
+            _cholesky(G)
 
 
 class TestElementMatrix:

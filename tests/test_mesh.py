@@ -1,3 +1,4 @@
+import re
 import types
 
 import numpy as np
@@ -87,6 +88,14 @@ class TestSkeleton:
         verts = np.array([[1.0, 0.0], [2.0, 0.0], [1.5, 1.0], [1.5, 2.0], [1.5, -1.0]])
         with pytest.raises(MeshError, match=r"edge \(0, 1\) adjacent to more than 2"):
             Mesh(verts, np.array([[0, 1, 2], [0, 1, 3], [1, 0, 4]]))
+
+    def test_overlapping_triangles_rejected(self):
+        # a third counterclockwise triangle over the unit square: every
+        # triangle has positive area and the Euler relation holds, but the
+        # total area would be 1.5
+        verts = np.array([[1.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(MeshError, match=r"edge \(2, 3\) is traversed in the same direction"):
+            Mesh(verts, np.array([[0, 1, 2], [0, 2, 3], [1, 2, 3]]))
 
     def test_geometry_roundtrip(self):
         m = two_triangle_mesh()
@@ -290,6 +299,28 @@ class TestMshReader:
         bad = MSH_VALID.replace("5 2 2 0 1 1 2 3", "5 2 2 0 1 1 3 2")
         with pytest.raises(MshParseError, match="line 17"):
             read_msh(bad)
+
+    def test_overlapping_triangles_rejected(self):
+        text = (MSH_VALID.replace("$Elements\n6\n", "$Elements\n7\n")
+                .replace("$EndElements", "7 2 2 0 1 2 3 4\n$EndElements"))
+        with pytest.raises(MeshError, match=r"edge \(2, 3\) is traversed in the same direction"):
+            read_msh(text)
+
+    def test_repeated_node_id_reports_line(self):
+        text = (MSH_VALID.replace("$Nodes\n4\n", "$Nodes\n5\n")
+                .replace("$EndNodes", "2 5.0 5.0 0.0\n$EndNodes"))
+        with pytest.raises(MshParseError, match="line 10: repeated node id 2"):
+            read_msh(text)
+
+    @pytest.mark.parametrize("stray", ["garbage line", "stray 1 2 3", "$EndFoo"])
+    def test_line_outside_a_section_reports_line(self, stray):
+        text = MSH_VALID.replace("$EndNodes\n", f"$EndNodes\n\n{stray}\n")
+        with pytest.raises(MshParseError, match=f"line 12: '{re.escape(stray)}' outside"):
+            read_msh(text)
+
+    def test_unknown_section_is_skipped(self):
+        text = MSH_VALID.replace("$EndNodes\n", "$EndNodes\n$Foo\nany 1 2\n$EndFoo\n")
+        assert read_msh(text).n_triangles == 2
 
     def test_missing_header(self):
         with pytest.raises(MshParseError, match="MeshFormat"):

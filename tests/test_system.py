@@ -1,4 +1,5 @@
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -49,7 +50,9 @@ def residual_elements(state, U):
 
 def reference_trace_pattern(state):
     """The sort-and-searchsorted pattern over all element Schur-block
-    entries that ``GlobalState._trace_pattern`` replaced."""
+    entries that ``GlobalState._trace_pattern`` replaced, with the coupling
+    entries (free row, boundary column), their free rows and boundary
+    values, which shift the right-hand side of ``reference_condensation``."""
     off = state.trial.offset_qhat
     n_t = state.n_total - off
     c_t = state.cache.cols[:, 3 * state.trial.nk:] - off
@@ -67,7 +70,7 @@ def reference_trace_pattern(state):
     g = np.zeros(n_t)
     g[state.bdata.dofs - off] = state.bdata.values
     coupling = np.nonzero(free_t[rows] & ~free_t[cols])[0].astype(np.int32)
-    return gsdpg.system._TracePattern(
+    return types.SimpleNamespace(
         slot=slot,
         indices=(keys % n_f).astype(np.int32),
         indptr=np.searchsorted(keys, np.arange(n_f + 1) * n_f).astype(np.int32),
@@ -343,7 +346,7 @@ class TestCondensedSolve:
         st = GlobalState(mesh, prob, k=k)
         got, want = st._trace_pattern(), reference_trace_pattern(st)
         assert len(want.coupling) > 0
-        for f in ("slot", "indices", "indptr", "coupling", "coupling_rows", "coupling_g"):
+        for f in ("slot", "indices", "indptr"):
             a, b = getattr(got, f), getattr(want, f)
             assert a.dtype == b.dtype and np.array_equal(a, b), f
 
@@ -372,6 +375,16 @@ class TestCondensedSolve:
         if generations is None:
             want = recover(spla.spsolve(S, b_f))
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_singular_q_block_named(self, monkeypatch):
+        prob = get_problem("rect-amr")
+        st = GlobalState(build_builtin_mesh(prob.boundary, (3, 3)), prob, k=1)
+        N, D = st.sources(st.initial_guess())
+        W = st.cache.W.copy()
+        W[4, :, :2 * st.trial.nk] = 0.0         # one element's Q columns vanish
+        monkeypatch.setattr(st.cache, "W", W)
+        with pytest.raises(RuntimeError, match="^q block Cholesky failed on element 4$"):
+            st.solve_linearized(N, D)
 
     def test_direct_solve_builds_static_blocks_once(self, monkeypatch):
         """A direct nonlinear solve eliminates q from blocks built once per
@@ -426,7 +439,7 @@ class TestLaggedTraceSolve:
         N, D = self.iterates(nl_state)[0]
         nl_state.solve_linearized(N, D, cache=cache)
         p = cache["pattern"]
-        assert {a.dtype for a in (p.slot, p.coupling, p.indices, p.indptr)} == {np.dtype(np.int32)}
+        assert {a.dtype for a in (p.slot, p.indices, p.indptr)} == {np.dtype(np.int32)}
 
     def test_refactors_when_gmres_misses_its_cap(self, nl_state, monkeypatch):
         st = nl_state

@@ -15,7 +15,7 @@ import numpy as np
 
 from .mesh import Mesh, bisect_conforming
 from .solvers import AndersonParams, solve_nonlinear
-from .spaces import _REF_VERTS
+from .spaces import _REF_VERTS, last_occurrence
 from .system import GlobalState
 
 
@@ -88,22 +88,16 @@ def transfer_solution(old_state: GlobalState, U_old: np.ndarray,
     if old_state.trial.k != new_state.trial.k:
         raise ValueError("solution transfer requires matching polynomial degree")
 
-    tr_new = new_state.trial
+    # the parent's fields at every child quadrature point; the modal basis is
+    # orthonormal on the reference triangle, so the projection is a plain
+    # weighted moment and the affine scaling cancels
     parents = new_mesh.parent_elements
-    # parent reference coordinates of every child quadrature point, and the
-    # parent's fields there, with the basis evaluated once on all points
     ref_old = old_state.mesh.map_to_reference(parents, new_state.cache.pts)
-    vals, _ = old_state.trial.q_basis.eval(ref_old.reshape(-1, 2))
-    vals = vals.reshape(*ref_old.shape[:2], -1)                 # (T, nq, nk)
-    q_old, psi_old = old_state.interior_coeffs(U_old)
-    psi_q = np.einsum("tqj,tj->tq", vals, psi_old[parents])
-    q_q = np.einsum("tqj,tcj->tqc", vals, q_old[parents])
-    # the modal basis is orthonormal on the reference triangle, so the
-    # projection is a plain weighted moment; the affine scaling cancels
     proj = new_state.cache.uv * new_state.cache.vol_rule.weights[:, None]
     U_new = np.zeros(new_state.n_total)
-    U_new[tr_new.offset_q:tr_new.offset_psi] = np.einsum("tqc,qj->tcj", q_q, proj).ravel()
-    U_new[tr_new.offset_psi:tr_new.offset_qhat] = (psi_q @ proj).ravel()
+    q_new, psi_new = new_state.interior_coeffs(U_new)
+    q_new[:] = np.swapaxes(old_state.eval_q(U_old, parents, ref_old), 1, 2) @ proj
+    psi_new[:] = old_state.eval_psi(U_old, parents, ref_old) @ proj
 
     _traces_from_fields(new_state, U_new)
     return new_state.apply_boundary(U_new)
@@ -115,28 +109,21 @@ def _traces_from_fields(state: GlobalState, U: np.ndarray) -> None:
     Each edge samples its first adjacent element; a vertex shared by several
     edges takes its psihat value from the last of them in edge order.
     """
-    mesh = state.mesh
-    tr = state.trial
-    E, V = mesh.n_edges, mesh.n_vertices
+    mesh, tr = state.mesh, state.trial
+    edges = np.arange(mesh.n_edges)
     t0 = mesh.edge_tris[:, 0]
     tv = mesh.triangles[t0]
     a = _REF_VERTS[np.argmax(tv == mesh.edges[:, :1], axis=1)]
     d = _REF_VERTS[np.argmax(tv == mesh.edges[:, 1:], axis=1)] - a
-    q_c, psi_c = state.interior_coeffs(U)
 
-    def basis_at(nodes):  # (E, len(nodes), nk): trial basis at edge nodes
-        ref = a[:, None, :] + nodes[:, None] * d[:, None, :]
-        vals, _ = tr.q_basis.eval(ref.reshape(-1, 2))
-        return vals.reshape(E, len(nodes), tr.nk)
+    def ref_nodes(basis):  # (E, nodes, 2): the edge nodes in t0's reference frame
+        return a[:, None, :] + basis.nodes[:, None] * d[:, None, :]
 
-    qv = np.einsum("ejn,ecn->ejc", basis_at(tr.qhat_basis.nodes), q_c[t0])
-    U[tr.offset_qhat:tr.offset_psihat] = np.einsum(
-        "ejc,ec->ej", qv, mesh.edge_normals).ravel()
-    pv = np.einsum("ejn,en->ej", basis_at(tr.psihat_basis.nodes), psi_c[t0])
-    U[tr.offset_psihat + V:] = pv[:, 1:-1].ravel()
-    ends = mesh.edges.ravel()
-    verts, first_rev = np.unique(ends[::-1], return_index=True)
-    U[tr.offset_psihat + verts] = pv[:, [0, -1]].ravel()[len(ends) - 1 - first_rev]
+    q = state.eval_q(U, t0, ref_nodes(tr.qhat_basis))
+    U[tr.qhat_edge_dofs(edges)] = np.einsum("ejc,ec->ej", q, mesh.edge_normals)
+    dofs, psi = last_occurrence(tr.psihat_edge_dofs(edges),
+                                state.eval_psi(U, t0, ref_nodes(tr.psihat_basis)))
+    U[dofs] = psi
 
 
 def amr_loop(problem, mesh: Mesh, k: int, s: int = 2,

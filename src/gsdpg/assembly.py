@@ -122,8 +122,8 @@ class ElementCache:
         self.edg_rule = edge_rule(default_edge_degree(k, s))
 
         # reference tables shared by all elements
-        self.tv, _ = test.basis.eval(self.vol_rule.points)
-        self.uv, _ = trial.q_basis.eval(self.vol_rule.points)
+        self.tv = test.basis.eval(self.vol_rule.points)
+        self.uv = trial.q_basis.eval(self.vol_rule.points)
         # TU[q, i * nk + j] = tv[q, i] uv[q, j]: the D moments are one GEMM
         self.TU = (self.tv[:, :, None] * self.uv[:, None, :]).reshape(len(self.tv), -1)
         self.n = n = test.nks
@@ -183,7 +183,7 @@ class ElementCache:
         mesh, (x, y) = self.mesh, self.vol_rule.points.T
         _, inv_T, det = mesh.geometry
         return (self.vol_rule.weights, np.stack([1.0 - x - y, x, y]),
-                np.moveaxis(self.test.basis.eval(self.vol_rule.points)[1], -1, 0),
+                np.moveaxis(self.test.basis.grad(self.vol_rule.points), -1, 0),
                 inv_T, det, mesh.vertices[mesh.triangles, 0])
 
     def _b_blocks(self):
@@ -212,10 +212,9 @@ class ElementCache:
         # serve every element
         t_e, w_e = self.edg_rule.points[:, 0], self.edg_rule.weights
         V = _REF_VERTS[:, None, None]     # edge points (a, b, q) from vertex a to b
-        tw = self.test.basis.eval((V + t_e[:, None] * (_REF_VERTS[:, None] - V)).reshape(-1, 2))[0]
-        tw = tw.reshape(3, 3, len(t_e), n) * w_e[:, None]      # a == b unused
-        Eq = np.swapaxes(tw, 2, 3) @ trial.qhat_basis.eval(t_e)[0]
-        Ep = np.swapaxes(tw, 2, 3) @ trial.psihat_basis.eval(t_e)[0]
+        tw = self.test.basis.eval(V + t_e[:, None] * (_REF_VERTS[:, None] - V)) * w_e[:, None]
+        Eq = np.swapaxes(tw, 2, 3) @ trial.qhat_basis.eval(t_e)     # a == b unused
+        Ep = np.swapaxes(tw, 2, 3) @ trial.psihat_basis.eval(t_e)
         e = mesh.tri_edges
         lo_hi = mesh.edges[e]                                  # (T, 3, 2)
         loc = np.argmax(mesh.triangles[:, None, None, :] == lo_hi[..., None], axis=-1)

@@ -149,19 +149,20 @@ class TriangleModalBasis:
         self._exps = np.array(_monomial_exponents(order), dtype=int)
         self._coeffs = _orthonormal_coeffs(order)
 
-    def eval(self, points: np.ndarray):
-        """Values (n, dim) and reference gradients (n, dim, 2) at ``points``."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        a = self._exps[:, 0]
-        b = self._exps[:, 1]
-        x = pts[:, 0][:, None]
-        y = pts[:, 1][:, None]
-        V = x**a * y**b
+    def eval(self, points: np.ndarray) -> np.ndarray:
+        """Values (..., dim) at reference points (..., 2)."""
+        x, y = np.asarray(points, dtype=float).reshape(-1, 2).T[..., None]
+        a, b = self._exps.T
+        return ((x**a * y**b) @ self._coeffs).reshape(*np.shape(points)[:-1], self.dim)
+
+    def grad(self, points: np.ndarray) -> np.ndarray:
+        """Reference gradients (..., dim, 2) at reference points (..., 2)."""
+        x, y = np.asarray(points, dtype=float).reshape(-1, 2).T[..., None]
+        a, b = self._exps.T
         Vx = np.where(a > 0, a * x ** np.maximum(a - 1, 0) * y**b, 0.0)
         Vy = np.where(b > 0, b * x**a * y ** np.maximum(b - 1, 0), 0.0)
-        vals = V @ self._coeffs
         grads = np.stack([Vx @ self._coeffs, Vy @ self._coeffs], axis=-1)
-        return vals, grads
+        return grads.reshape(*np.shape(points)[:-1], self.dim, 2)
 
 
 def lobatto_nodes(order: int) -> np.ndarray:
@@ -188,11 +189,15 @@ class EdgeNodalBasis:
         V = np.vander(self.nodes, order + 1, increasing=True)
         self._coeffs = np.linalg.inv(V)  # column i: monomial coeffs of shape i
 
-    def eval(self, points: np.ndarray):
-        """Values (n, dim) and derivatives (n, dim) at points in [0,1]."""
-        t = np.asarray(points, dtype=float).reshape(-1)
-        p = self.order
-        V = np.vander(t, p + 1, increasing=True)
-        e = np.arange(p + 1)
-        Vd = np.where(e > 0, e * t[:, None] ** np.maximum(e - 1, 0), 0.0)
-        return V @ self._coeffs, Vd @ self._coeffs
+    def eval(self, points: np.ndarray) -> np.ndarray:
+        """Values (..., dim) at points (...) in [0,1]."""
+        t = np.asarray(points, dtype=float)
+        V = np.vander(t.ravel(), self.dim, increasing=True)
+        return (V @ self._coeffs).reshape(*t.shape, self.dim)
+
+    def grad(self, points: np.ndarray) -> np.ndarray:
+        """Derivatives (..., dim) at points (...) in [0,1]."""
+        t = np.asarray(points, dtype=float)
+        e = np.arange(self.dim)
+        Vd = np.where(e > 0, e * t.reshape(-1, 1) ** np.maximum(e - 1, 0), 0.0)
+        return (Vd @ self._coeffs).reshape(*t.shape, self.dim)

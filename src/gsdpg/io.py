@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .mesh import Mesh
+from .spaces import _REF_VERTS
 
 
 class ConfigError(Exception):
@@ -34,14 +35,11 @@ CONFIG_DEFAULTS = {
     "output_prefix": "gsdpg",
 }
 
-_INT_KEYS = {"k", "s", "levels", "anderson_m", "max_nonlinear_iters",
-             "max_amr_iters", "max_elements"}
-_FLOAT_KEYS = {"rtol", "atol", "stol", "theta_max", "theta_total", "amr_atol"}
-_BOOL_KEYS = {"line_search"}
-
 
 def parse_config(text: str) -> dict:
-    """key = value lines; '#' starts a comment; unknown keys are rejected."""
+    """key = value lines; '#' starts a comment; unknown keys are rejected.
+
+    A value takes the type of its key's default; floats must be finite."""
     cfg = dict(CONFIG_DEFAULTS)
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -52,18 +50,19 @@ def parse_config(text: str) -> dict:
         key, val = (part.strip() for part in line.split("=", 1))
         if key not in cfg:
             raise ConfigError(f"line {no}: unknown option {key!r}")
+        default = CONFIG_DEFAULTS[key]
         try:
-            if key in _INT_KEYS:
-                cfg[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                cfg[key] = float(val)
-            elif key in _BOOL_KEYS:
+            if key == "resolution":
+                na, nb = (int(x) for x in val.split(","))
+                cfg[key] = (na, nb)
+            elif isinstance(default, bool):
                 if val.lower() not in ("true", "false", "0", "1"):
                     raise ValueError(val)
                 cfg[key] = val.lower() in ("true", "1")
-            elif key == "resolution":
-                na, nb = (int(x) for x in val.split(","))
-                cfg[key] = (na, nb)
+            elif isinstance(default, (int, float)):
+                cfg[key] = type(default)(val)
+                if not np.isfinite(float(val)):  # nan, inf or beyond float range
+                    raise ValueError(val)
             else:
                 cfg[key] = val
         except ValueError:
@@ -163,11 +162,9 @@ def write_vtk(path, mesh: Mesh, point_data: dict | None = None,
 def vertex_averaged_fields(state, U) -> dict:
     """psi, q_r, q_z averaged over elements incident to each vertex."""
     mesh = state.mesh
-    corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    vals, _ = state.trial.q_basis.eval(corners)
-    q_c, psi_c = state.interior_coeffs(U)
-    fields = np.concatenate([(psi_c @ vals.T)[..., None],
-                             np.einsum("vn,tcn->tvc", vals, q_c)], axis=2)
+    tri = np.arange(mesh.n_triangles)
+    fields = np.concatenate([state.eval_psi(U, tri, _REF_VERTS)[..., None],
+                             state.eval_q(U, tri, _REF_VERTS)], axis=2)
     acc = np.zeros((mesh.n_vertices, 3))
     np.add.at(acc, mesh.triangles.ravel(), fields.reshape(-1, 3))
     acc /= np.bincount(mesh.triangles.ravel(), minlength=mesh.n_vertices)[:, None]

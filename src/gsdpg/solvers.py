@@ -18,10 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .krylov import KrylovParams, krylov_solve  # noqa: F401 (KrylovParams re-exported)
-from .system import GlobalState
+from .system import GlobalState, _factor_trace
 
 
 @dataclass
@@ -76,7 +75,7 @@ def build_block_jacobi(state: GlobalState):
         if asym > 1e-10 * max(1.0, abs(P_bb).max()):
             raise RuntimeError(f"preconditioner block {b + 1} is not symmetric")
         try:
-            factors.append(np.linalg.inv(P_bb) if b < 2 else spla.splu(P_bb))
+            factors.append(np.linalg.inv(P_bb) if b < 2 else _factor_trace(P_bb))
         except (RuntimeError, np.linalg.LinAlgError) as exc:
             raise RuntimeError(f"factorization of block P{b + 1}{b + 1} failed") from exc
 

@@ -109,6 +109,14 @@ class BoundaryData:
     values: np.ndarray
 
 
+def last_occurrence(dofs, values):
+    """Each distinct DOF of ``dofs`` once, sorted, with the entry of
+    ``values`` (same shape) at its last occurrence in C order."""
+    # np.unique keeps the first occurrence, so reverse to keep the last
+    uniq, last = np.unique(np.ravel(dofs)[::-1], return_index=True)
+    return uniq, np.ravel(values)[::-1][last]
+
+
 def interpolate_boundary(space: TrialSpace, psi_d) -> BoundaryData:
     """Nodal interpolation of the Dirichlet datum at boundary psihat nodes.
 
@@ -121,7 +129,5 @@ def interpolate_boundary(space: TrialSpace, psi_d) -> BoundaryData:
     a, b = m.vertices[m.edges[be, 0]], m.vertices[m.edges[be, 1]]
     pts = a[:, None] + space.psihat_basis.nodes[:, None] * (b - a)[:, None]
     vals = np.broadcast_to(np.asarray(psi_d(pts[..., 0], pts[..., 1]), dtype=float),
-                           pts.shape[:-1]).ravel()
-    # np.unique keeps the first occurrence, so reverse to keep the last
-    dofs, last = np.unique(space.psihat_edge_dofs(be).ravel()[::-1], return_index=True)
-    return BoundaryData(dofs, vals[::-1][last])
+                           pts.shape[:-1])
+    return BoundaryData(*last_occurrence(space.psihat_edge_dofs(be), vals))

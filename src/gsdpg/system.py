@@ -52,6 +52,13 @@ class _TracePattern:
     indptr: np.ndarray
 
 
+def _factor_trace(S: sp.csc_matrix):
+    """Sparse LU of a trace matrix, symmetric or nearly so (the condensed
+    solve's D_N correction): SuperLU's symmetric mode keeps fill-in low."""
+    return spla.splu(S, permc_spec="MMD_AT_PLUS_A",
+                     options=dict(SymmetricMode=True, DiagPivotThresh=0.01))
+
+
 class GlobalState:
     """Stacked element systems plus global sparse operators for one mesh."""
 
@@ -87,7 +94,7 @@ class GlobalState:
         return U
 
     def interior_coeffs(self, U: np.ndarray):
-        """Stacked interior coefficients: q (T, 2, nk) and psi (T, nk)."""
+        """Stacked interior coefficients, views of U: q (T, 2, nk), psi (T, nk)."""
         tr = self.trial
         T = self.mesh.n_triangles
         return (U[tr.offset_q:tr.offset_psi].reshape(T, 2, tr.nk),
@@ -293,10 +300,7 @@ class GlobalState:
             if info["converged"]:
                 x_f = x
         if x_f is None:
-            # the trace system is symmetric up to the D_N correction;
-            # SuperLU's symmetric mode keeps the fill-in moderate
-            cache["lu"] = spla.splu(S, permc_spec="MMD_AT_PLUS_A",
-                                    options=dict(SymmetricMode=True, DiagPivotThresh=0.01))
+            cache["lu"] = _factor_trace(S)
             x_f = cache["lu"].solve(b_f)
 
         U[off:][free_t] = x_f
@@ -322,18 +326,18 @@ class GlobalState:
 
     # -- field evaluation ----------------------------------------------
 
-    # each element's values come from its own product with the basis table,
-    # the same arithmetic as a one-element call
+    # reference points are shared (n, 2) or per element (m, n, 2); each
+    # element's values come from its own product, as in a one-element call
 
     def eval_psi(self, U: np.ndarray, tri, ref_points: np.ndarray) -> np.ndarray:
         """psi at n reference points of element ``tri``: (n,), or (m, n) for
         an index array of m elements."""
-        vals, _ = self.trial.psi_basis.eval(ref_points)
+        vals = self.trial.psi_basis.eval(ref_points)
         return (vals @ self.interior_coeffs(U)[1][tri][..., None])[..., 0]
 
     def eval_q(self, U: np.ndarray, tri, ref_points: np.ndarray) -> np.ndarray:
         """q at n reference points of element ``tri``: (n, 2), or (m, n, 2)
         for an index array of m elements."""
-        vals, _ = self.trial.q_basis.eval(ref_points)
+        vals = self.trial.q_basis.eval(ref_points)
         return vals @ np.swapaxes(self.interior_coeffs(U)[0][tri], -1, -2)
 

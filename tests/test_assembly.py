@@ -40,7 +40,7 @@ def make_cache(mesh, k=2, s=2, norm=STANDARD):
 def project_on_element(mesh, basis, t, f):
     """Reference-orthonormal projection of a (polynomial) field onto P^k."""
     rule = triangle_rule(2 * basis.order + 4)
-    vals, _ = basis.eval(rule.points)
+    vals = basis.eval(rule.points)
     phys = mesh.map_to_physical(t, rule.points)
     fv = np.array([f(p[0], p[1]) for p in phys])
     return (vals * rule.weights[:, None]).T @ fv
@@ -78,8 +78,8 @@ def reference_element(cache, t):
     n, nk = test.nks, trial.nk
     _, inv_T, det = mesh.geometry
     rule = cache.vol_rule
-    tv, tg_ref = test.basis.eval(rule.points)
-    uv, _ = trial.q_basis.eval(rule.points)
+    tv, tg_ref = test.basis.eval(rule.points), test.basis.grad(rule.points)
+    uv = trial.q_basis.eval(rule.points)
     w = rule.weights * det[t]
     r = mesh.map_to_physical(t, rule.points)[:, 0]
     g = np.einsum("ab,qib->qia", inv_T[t], tg_ref)
@@ -96,8 +96,8 @@ def reference_element(cache, t):
     B[tau, qr] = -(gx * w[:, None]).T @ uv
     B[tau, qz] = -(gy * w[:, None]).T @ uv
     t_e = cache.edg_rule.points[:, 0]
-    qhat_vals, _ = trial.qhat_basis.eval(t_e)
-    psihat_vals, _ = trial.psihat_basis.eval(t_e)
+    qhat_vals = trial.qhat_basis.eval(t_e)
+    psihat_vals = trial.psihat_basis.eval(t_e)
     kq, kp = trial.k + 1, trial.k + 2
     for le in range(3):
         e = mesh.tri_edges[t, le]
@@ -107,7 +107,7 @@ def reference_element(cache, t):
         l_lo = int(np.nonzero(mesh.triangles[t] == lo)[0][0])
         l_hi = int(np.nonzero(mesh.triangles[t] == hi)[0][0])
         ref = _REF_VERTS[l_lo] + t_e[:, None] * (_REF_VERTS[l_hi] - _REF_VERTS[l_lo])
-        tvals, _ = test.basis.eval(ref)
+        tvals = test.basis.eval(ref)
         ds = cache.edg_rule.weights * length
         c_qh = 3 * nk + le * kq
         c_ph = 3 * nk + 3 * kq + le * kp
@@ -236,7 +236,7 @@ class TestElementMatrix:
         got = cache.matrices()[0][t] @ u
 
         rule = triangle_rule(2 * test.order + 6)
-        tv, tg_ref = test.basis.eval(rule.points)
+        tv, tg_ref = test.basis.eval(rule.points), test.basis.grad(rule.points)
         _, inv_T, det = mesh.geometry
         g = np.einsum("ab,qib->qia", inv_T[t], tg_ref)
         phys = mesh.map_to_physical(t, rule.points)
@@ -264,7 +264,7 @@ class TestElementMatrix:
 class TestGram:
     def brute_force_standard_gram(self, mesh, test, t):
         rule = triangle_rule(2 * test.order + 4)
-        tv, tg_ref = test.basis.eval(rule.points)
+        tv, tg_ref = test.basis.eval(rule.points), test.basis.grad(rule.points)
         _, inv_T, det = mesh.geometry
         g = np.einsum("ab,qib->qia", inv_T[t], tg_ref)
         w = rule.weights * det[t]
@@ -329,7 +329,7 @@ class TestSourceMoments:
         t = 4
         L_K = cache.linear_source(prob)[t]
         rule = triangle_rule(2 * test.order + 6)
-        tv, _ = test.basis.eval(rule.points)
+        tv = test.basis.eval(rule.points)
         phys = mesh.map_to_physical(t, rule.points)
         _, _, det = mesh.geometry
         w = rule.weights * det[t]

@@ -101,7 +101,7 @@ class TestTriangleModalBasis:
     def test_orthonormality(self, order):
         basis = TriangleModalBasis(order)
         r = triangle_rule(2 * order)
-        vals, _ = basis.eval(r.points)
+        vals = basis.eval(r.points)
         M = (vals * r.weights[:, None]).T @ vals
         assert np.abs(M - np.eye(basis.dim)).max() < 5e-12
 
@@ -115,16 +115,24 @@ class TestTriangleModalBasis:
         rng = np.random.default_rng(7)
         pts = rng.random((20, 2)) * 0.5
         h = 1e-6
-        _, grads = basis.eval(pts)
+        grads = basis.grad(pts)
         for d, e in enumerate(np.eye(2)):
-            vp, _ = basis.eval(pts + h * e)
-            vm, _ = basis.eval(pts - h * e)
+            vp = basis.eval(pts + h * e)
+            vm = basis.eval(pts - h * e)
             fd = (vp - vm) / (2 * h)
             assert np.abs(fd - grads[:, :, d]).max() < 1e-7
 
+    def test_stacked_points_match_flattened(self):
+        basis = TriangleModalBasis(3)
+        pts = np.random.default_rng(2).random((5, 7, 2)) * 0.5
+        vals = basis.eval(pts)
+        assert vals.shape == (5, 7, basis.dim)
+        assert np.array_equal(vals, basis.eval(pts.reshape(-1, 2)).reshape(5, 7, -1))
+        assert np.array_equal(basis.grad(pts), basis.grad(pts.reshape(-1, 2)).reshape(5, 7, -1, 2))
+
     def test_spans_constants(self):
         basis = TriangleModalBasis(3)
-        vals, _ = basis.eval(np.array([[0.25, 0.25], [0.1, 0.7]]))
+        vals = basis.eval(np.array([[0.25, 0.25], [0.1, 0.7]]))
         # first function is the normalized constant sqrt(2)
         assert vals[:, 0] == pytest.approx([math.sqrt(2)] * 2, rel=1e-14)
 
@@ -137,7 +145,7 @@ class TestEdgeNodalBasis:
     @pytest.mark.parametrize("order", [1, 2, 3, 5])
     def test_kronecker_at_nodes(self, order):
         basis = EdgeNodalBasis(order)
-        vals, _ = basis.eval(basis.nodes)
+        vals = basis.eval(basis.nodes)
         assert np.abs(vals - np.eye(order + 1)).max() < 1e-12
 
     @given(order=st.integers(1, 6))
@@ -145,7 +153,7 @@ class TestEdgeNodalBasis:
     def test_partition_of_unity(self, order):
         basis = EdgeNodalBasis(order)
         t = np.linspace(0, 1, 17)
-        vals, _ = basis.eval(t)
+        vals = basis.eval(t)
         assert vals.sum(axis=1) == pytest.approx(np.ones(17), abs=1e-11)
 
     def test_lobatto_endpoints_and_symmetry(self):
@@ -159,6 +167,6 @@ class TestEdgeNodalBasis:
         basis = EdgeNodalBasis(4)
         t = np.linspace(0.05, 0.95, 9)
         h = 1e-6
-        _, der = basis.eval(t)
-        fd = (basis.eval(t + h)[0] - basis.eval(t - h)[0]) / (2 * h)
+        der = basis.grad(t)
+        fd = (basis.eval(t + h) - basis.eval(t - h)) / (2 * h)
         assert np.abs(fd - der).max() < 1e-7

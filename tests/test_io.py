@@ -51,6 +51,11 @@ line_search = false
         with pytest.raises(ConfigError, match="line 1: invalid value"):
             parse_config("k = two\n")
 
+    @pytest.mark.parametrize("key, val", [("theta_max", "nan"), ("rtol", "inf")])
+    def test_non_finite_float_reports_line(self, key, val):
+        with pytest.raises(ConfigError, match=f"line 2: invalid value '{val}' for '{key}'"):
+            parse_config(f"k = 2\n{key} = {val}\n")
+
     def test_missing_equals_reports_line(self):
         with pytest.raises(ConfigError, match="line 2"):
             parse_config("k = 2\nrtol 1e-8\n")

@@ -313,6 +313,14 @@ class TestFieldEvaluation:
         for i, t in enumerate(tri):
             assert np.array_equal(psi[i], st.eval_psi(U, int(t), ref))
             assert np.array_equal(q[i], st.eval_q(U, int(t), ref))
+        # per-element point sets (m, n, 2)
+        refs = np.random.default_rng(5).random((4, 6, 2)) * 0.5
+        psi = st.eval_psi(U, tri, refs)
+        q = st.eval_q(U, tri, refs)
+        assert psi.shape == (4, 6) and q.shape == (4, 6, 2)
+        for i, t in enumerate(tri):
+            assert np.array_equal(psi[i], st.eval_psi(U, int(t), refs[i]))
+            assert np.array_equal(q[i], st.eval_q(U, int(t), refs[i]))
 
 
 class TestCondensedSolve:

@@ -1,7 +1,8 @@
 """Right-preconditioned restarted flexible GMRES.
 
 Used by the block-Jacobi inner solve of the fixed-point map and by the
-lagged-LU solve of the condensed trace system.  Each step orthogonalizes
+lagged-LU solve of the condensed trace system, which starts from a guess
+and gives up at a step that stalls.  Each step orthogonalizes
 with classical Gram-Schmidt plus one reorthogonalization (CGS2) over the
 stacked basis and keeps the Hessenberg QR as a small rotation matrix.
 """
@@ -24,12 +25,21 @@ class KrylovParams:
 _EPS = np.finfo(float).eps
 
 
-def krylov_solve(A, b, M=None, params: KrylovParams | None = None):
+def krylov_solve(A, b, M=None, params: KrylovParams | None = None, x0=None,
+                 stall: float | None = None):
     """Right-preconditioned restarted (flexible) GMRES.
 
     ``A`` is a matrix or LinearOperator, ``M`` an optional preconditioner
     callable/operator approximating A^{-1}.  Returns (x, info) where info
     holds the iteration count and final relative residual.
+
+    ``x0`` is the starting guess (zero by default; the caller's array is not
+    modified).  The stop test stays ||b - A x|| <= rtol ||b||, relative to
+    ``b`` and not to the initial residual, so an exact ``x0`` returns after
+    no iteration.  With ``stall`` set, a step that leaves the residual
+    estimate above ``stall`` times the previous one ends the solve, which
+    then reports its residual as usual (normally unconverged): a caller with
+    a cheaper fallback gives up on a preconditioner that no longer fits.
 
     Each step orthogonalizes against the basis with classical Gram-Schmidt
     and one full reorthogonalization (CGS2), four matrix-vector products
@@ -56,19 +66,21 @@ def krylov_solve(A, b, M=None, params: KrylovParams | None = None):
     if bnorm == 0.0:
         return np.zeros(n), {"iterations": 0, "relres": 0.0, "converged": True}
     tol = params.rtol * bnorm
-    x = np.zeros(n)
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     total = 0
     m = params.restart
     V = np.empty((m + 1, n))
     Z = np.empty((m, n))
     R = np.zeros((m, m))
-    while total < params.max_iters:
+    stalled = False
+    while total < params.max_iters and not stalled:
         r = b - matvec(x)
         beta = np.linalg.norm(r)
         if beta <= tol:
             return x, {"iterations": total, "relres": beta / bnorm, "converged": True}
         V[0] = r / beta
         Qt = np.eye(m + 1)
+        est = beta
         j = 0
         while j < m and total < params.max_iters:
             Z[j] = psolve(V[j])
@@ -94,7 +106,11 @@ def krylov_solve(A, b, M=None, params: KrylovParams | None = None):
             if h_next <= _EPS * np.linalg.norm(h):
                 break                   # happy breakdown: span(V) is invariant
             V[j] = w / h_next
-            if beta * abs(Qt[j, 0]) <= tol:
+            est, prev = beta * abs(Qt[j, 0]), est
+            if est <= tol:
+                break
+            if stall is not None and est > stall * prev:
+                stalled = True
                 break
         y = solve_triangular(R[:j, :j], beta * Qt[:j, 0], check_finite=False)
         x = x + y @ Z[:j]

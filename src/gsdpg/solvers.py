@@ -8,9 +8,9 @@ GMRES (``gsdpg.krylov``) with a four-block Jacobi preconditioner, whose
 interior blocks are per-element inverses applied as one batched product.
 With the direct solve, the map owns a per-solve cache that keeps the
 trace-system pattern and the LU of its first system, so later evaluations
-solve by FGMRES preconditioned with that LU; ``solve_nonlinear`` empties the
-cache when it returns or raises.  An outer iteration that meets a
-non-finite residual stops and says so.
+solve by FGMRES preconditioned with that LU, started from the traces of the
+iterate; ``solve_nonlinear`` empties the cache when it returns or raises.
+An outer iteration that meets a non-finite residual stops and says so.
 """
 
 from __future__ import annotations
@@ -97,7 +97,8 @@ class FixedPointMap:
     """A(U): one linearized normal-equation solve at the current iterate.
 
     ``trace_cache`` is the direct solve's per-solve cache (see
-    ``GlobalState.solve_linearized``); ``solve_nonlinear`` empties it.
+    ``GlobalState.solve_linearized``, which also gets the iterate as its
+    starting guess); ``solve_nonlinear`` empties it.
     """
 
     def __init__(self, state: GlobalState, inner: str = "direct"):
@@ -119,7 +120,7 @@ class FixedPointMap:
             self.inner_iterations.append(0)
             return self._linear_result.copy()
         if self.inner == "direct":
-            out = st.solve_linearized(N, D, cache=self.trace_cache)
+            out = st.solve_linearized(N, D, cache=self.trace_cache, U0=U)
             self.inner_iterations.append(0)
         else:
             A = st.normal_matrix(D=D)

@@ -14,13 +14,16 @@ z = Z (N + F_L) and Z D once, and the right-hand side W_tau^T z - (Z D)^T z
 
 The direct linearized solve condenses the interior fields element by
 element and solves the skeleton (trace) system: q once per mesh, psi per
-evaluation, as the nonlinear source changes only the psi rows.  Within one
-nonlinear solve it builds the trace system's sparse pattern once, from the
-skeleton node pairs the elements couple, and factors it once: later
+evaluation, as the nonlinear source changes only the psi rows.  The psi
+elimination works from the tau rows of W with q eliminated, formed per
+evaluation and not kept, and applies one batched inverse per element.
+Within one nonlinear solve it builds the trace system's sparse pattern once,
+from the skeleton node pairs the elements couple, and factors it once: later
 linearizations fill the same pattern and solve by flexible GMRES
-right-preconditioned with the first LU, refactoring only when GMRES misses a
-small iteration cap.  That pattern and LU live in a cache the caller owns
-and frees, never on the state.
+right-preconditioned with the first LU, started from the traces of the
+iterate, and refactor only when GMRES misses a small iteration cap or a step
+fails to halve its residual.  That pattern and LU live in a cache the caller
+owns and frees, never on the state.
 """
 
 from __future__ import annotations
@@ -37,8 +40,10 @@ from .problems import ProblemSpec
 from .spaces import TestSpace, TrialSpace, interpolate_boundary
 
 # lagged trace solve: a few FGMRES steps preconditioned with an earlier LU
-# reach the direct solve's accuracy; past the cap the LU is renewed
+# reach the direct solve's accuracy, each step cutting the residual 30-fold
+# or more; past the cap, or at a step that does not halve it, the LU is renewed
 _LAGGED_GMRES = KrylovParams(restart=20, rtol=1e-12, max_iters=20)
+_LAGGED_STALL = 0.5
 
 
 @dataclass(frozen=True)
@@ -224,18 +229,20 @@ class GlobalState:
         indices[slot[ff.ravel()]] = np.broadcast_to(fidx[c_t][:, :, None], (T, m, m))[ff]
         return _TracePattern(slot=slot, indices=indices, indptr=indptr)
 
-    def solve_linearized(self, N, D, cache: dict | None = None) -> np.ndarray:
+    def solve_linearized(self, N, D, cache: dict | None = None,
+                         U0: np.ndarray | None = None) -> np.ndarray:
         """Solve A x = b by local elimination of interior fields.
 
         The interior (q, psi) columns couple only within their own element,
         so they are condensed out and only the skeleton system S (normal
         traces plus psihat) is solved globally.  D enters only the psi rows,
-        so q is eliminated once per state and each call
-        eliminates psi with one nk x nk solve per element.  Boundary data is
-        lifted element by element: each element right-hand side loses
-        S_K g_K, with g_K the boundary values on the element's trace DOFs
-        and 0 elsewhere.  Returns the full trial vector with boundary values
-        applied.
+        so q is eliminated once per state and each call eliminates psi with
+        one batched nk x nk inverse, from W_hat = W_tau,r - W_tau,q F, the
+        tau rows of W with q eliminated (formed per call, not kept).
+        Boundary data is lifted element by element: each element right-hand
+        side loses S_K g_K, with g_K the boundary values on the element's
+        trace DOFs and 0 elsewhere.  Returns the full trial vector with
+        boundary values applied.
 
         ``cache`` (a dict owned by the caller, for one GlobalState) carries
         work from one call to the next.  The first call stores the CSC
@@ -243,9 +250,15 @@ class GlobalState:
         of S.  Later calls fill S with one ``bincount`` and solve it by
         flexible GMRES right-preconditioned with that LU, to a relative
         residual of ``_LAGGED_GMRES.rtol``; if GMRES misses its iteration
-        cap, S is refactored and solved directly, and the new LU is kept.
-        The caller empties the cache to free the LU.  Without a cache, every
-        call factors afresh.
+        cap, or a step fails to halve its residual estimate (the LU no
+        longer fits, as after the initial guess), S is refactored and solved
+        directly, and the new LU is kept.  The caller empties the cache to
+        free the LU.  Without a cache, every call factors afresh.
+
+        ``U0``, the iterate at which N and D were taken, starts the lagged
+        GMRES from its free traces; near convergence they are close to the
+        solution.  Without it GMRES starts from zero.  The result does not
+        depend on ``U0`` beyond the GMRES tolerance.
         """
         cache = {} if cache is None else cache
         if "pattern" not in cache:
@@ -268,18 +281,24 @@ class GlobalState:
             self._H = np.swapaxes(W_r, 1, 2) @ W_r - np.swapaxes(A_qr, 1, 2) @ self._F
         F, FP, H = self._F, self._FP, self._H
 
-        # D_N adds Dl = -(Z D)^T W_tau to the psi rows, which become H_psi;
-        # the right-hand side c = b_r - F^T b_q loses Dl_q A_qq^{-1} b_q in psi
+        # with W_hat = W_tau,r - W_tau,q F the tau rows of W once q is
+        # eliminated, D_N turns the psi rows of H into H_psi = H[psi] -
+        # (Z D)^T W_hat, and the right-hand side c = b_r - F^T b_q into
+        # W_hat^T z, less (Z D)^T (z - W_tau,q y_q) in psi (y_q = A_qq^{-1} b_q)
         z, ZD = self._whitened_source(N), self.cache.Z @ D
-        b = self._element_rhs(z, ZD)                   # (T, ncols)
-        Dl = -np.swapaxes(ZD, 1, 2) @ W[:, self._tau]
-        H_psi = H[:, :nk] + Dl[:, :, nq:] - Dl[:, :, :nq] @ F
-        y_q = np.einsum("tij,tj->ti", FP, z)           # A_qq^{-1} b_q
-        c = b[:, nq:] - np.einsum("tji,tj->ti", F, b[:, :nq])
-        c[:, :nk] -= np.einsum("tij,tj->ti", Dl[:, :, :nq], y_q)
+        # (W_hat is the largest temporary: subtract in place, free it early)
+        W_tq = W[:, self._tau, :nq]
+        W_hat = W_tq @ F
+        np.subtract(W[:, self._tau, nq:], W_hat, out=W_hat)
+        ZDt = np.swapaxes(ZD, 1, 2)
+        H_psi = H[:, :nk] - ZDt @ W_hat
+        y_q = np.einsum("tij,tj->ti", FP, z)
+        c = np.einsum("tji,tj->ti", W_hat, z)
+        c[:, :nk] -= np.einsum("tij,tj->ti", ZDt, z - np.einsum("tij,tj->ti", W_tq, y_q))
+        del W_hat
 
-        sol = np.linalg.solve(H_psi[:, :, :nk],
-                              np.concatenate([H_psi[:, :, nk:], c[:, :nk, None]], axis=2))
+        sol = np.linalg.inv(H_psi[:, :, :nk]) @ np.concatenate(
+            [H_psi[:, :, nk:], c[:, :nk, None]], axis=2)
         X, y_psi = sol[:, :, :-1], sol[:, :, -1]
         H_tp = H[:, nk:, :nk]
         S_el = H[:, nk:, nk:] - H_tp @ X               # (T, ntr, ntr)
@@ -296,7 +315,9 @@ class GlobalState:
 
         x_f = None
         if "lu" in cache:
-            x, info = krylov_solve(S, b_f, M=cache["lu"].solve, params=_LAGGED_GMRES)
+            x, info = krylov_solve(S, b_f, M=cache["lu"].solve, params=_LAGGED_GMRES,
+                                   x0=None if U0 is None else U0[off:][free_t],
+                                   stall=_LAGGED_STALL)
             if info["converged"]:
                 x_f = x
         if x_f is None:

@@ -66,6 +66,56 @@ class TestKrylov:
         assert info["converged"]
         assert np.abs(A @ x - b).max() < 1e-6
 
+    @staticmethod
+    def spd_system(n=30, seed=3):
+        rng = np.random.default_rng(seed)
+        Q = rng.standard_normal((n, n))
+        return Q @ Q.T + n * np.eye(n), rng.standard_normal(n)
+
+    def test_exact_start_returns_at_once(self):
+        A, b = self.spd_system()
+        x_exact = np.linalg.solve(A, b)
+        x, info = krylov_solve(A, b, params=KrylovParams(rtol=1e-10), x0=x_exact)
+        assert info["converged"] and info["iterations"] == 0
+        assert np.array_equal(x, x_exact)
+
+    def test_start_tolerance_is_relative_to_b(self):
+        """||b - A x|| <= rtol ||b|| stops the solve, however small the
+        start's residual: a start inside the tolerance takes no step, and a
+        start just outside it stops at rtol ||b||, not rtol ||r0||."""
+        A, b = self.spd_system()
+        x_exact = np.linalg.solve(A, b)
+        d = np.linalg.solve(A, np.ones_like(b))
+        rtol, bnorm = 1e-6, np.linalg.norm(b)
+        for scale, steps in ((0.5, 0), (2.0, None)):
+            x0 = x_exact + scale * rtol * bnorm / np.linalg.norm(A @ d) * d
+            x, info = krylov_solve(A, b, params=KrylovParams(rtol=rtol), x0=x0)
+            res = np.linalg.norm(b - A @ x)
+            assert info["converged"] and res <= rtol * bnorm
+            assert info["relres"] == pytest.approx(res / bnorm)
+            if steps is not None:
+                assert info["iterations"] == steps
+            else:
+                assert 1 <= info["iterations"] <= 3
+                assert res > 1e-3 * rtol * bnorm
+
+    def test_start_not_modified(self):
+        A, b = self.spd_system()
+        x0 = np.ones_like(b)
+        x, info = krylov_solve(A, b, params=KrylovParams(rtol=1e-12), x0=x0)
+        assert info["converged"] and np.abs(A @ x - b).max() < 1e-9
+        assert np.array_equal(x0, np.ones_like(b))
+
+    def test_stall_ends_a_stagnating_solve(self):
+        """GMRES on a cyclic shift makes no progress for n - 1 steps; with
+        ``stall`` it gives up after the first, unconverged."""
+        n = 12
+        A, b = np.roll(np.eye(n), 1, axis=0), np.eye(n)[0]
+        x, info = krylov_solve(A, b, params=KrylovParams(rtol=1e-12))
+        assert info["converged"] and info["iterations"] == n
+        x, info = krylov_solve(A, b, params=KrylovParams(rtol=1e-12), stall=0.5)
+        assert not info["converged"] and info["iterations"] == 1
+
     @pytest.mark.parametrize("field", ["restart", "max_iters"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_empty_budget_rejected(self, field, value):
@@ -430,7 +480,7 @@ class TestTraceCacheLifetime:
         # one-shot path: every evaluation factors afresh
         solve = GlobalState.solve_linearized
         monkeypatch.setattr(GlobalState, "solve_linearized",
-                            lambda self, N, D, cache=None: solve(self, N, D))
+                            lambda self, N, D, cache=None, U0=None: solve(self, N, D))
         one_shot = solve_nonlinear(st)
         evals = len(seen["maps"][0].inner_iterations)
         assert one_shot.iterations == res.iterations

@@ -427,20 +427,76 @@ class TestLaggedTraceSolve:
         return calls
 
     @staticmethod
-    def iterates(st):
+    def points(st):
         U = random_iterate(st, seed=9, scale=0.05)
-        return [st.sources(U), st.sources(st.apply_boundary(1.02 * U))]
+        return [U, st.apply_boundary(1.02 * U)]
+
+    @classmethod
+    def iterates(cls, st):
+        return [st.sources(U) for U in cls.points(st)]
+
+    @staticmethod
+    def record_lagged(monkeypatch):
+        """(iterations, converged) of each lagged FGMRES solve."""
+        calls, solve = [], gsdpg.system.krylov_solve
+
+        def counting(*args, **kwargs):
+            x, info = solve(*args, **kwargs)
+            calls.append((info["iterations"], info["converged"]))
+            return x, info
+
+        monkeypatch.setattr(gsdpg.system, "krylov_solve", counting)
+        return calls
 
     def test_cached_solves_match_fresh_solves(self, nl_state, monkeypatch):
+        """Cold, and warm-started from each iterate's traces as the map does."""
         st = nl_state
         fresh = [st.solve_linearized(N, D) for N, D in self.iterates(st)]
         splu = self.count_splu(monkeypatch)
-        cache = {}
-        for (N, D), want in zip(self.iterates(st), fresh):
-            got = st.solve_linearized(N, D, cache=cache)
-            assert np.abs(got - want).max() < 1e-10 * np.abs(want).max()
-        assert len(splu) == 1
-        assert set(cache) == {"pattern", "lu"}
+        for warm in (False, True):
+            splu.clear()
+            cache = {}
+            for U, want in zip(self.points(st), fresh):
+                got = st.solve_linearized(*st.sources(U), cache=cache, U0=U if warm else None)
+                assert np.abs(got - want).max() < 1e-10 * np.abs(want).max()
+            assert len(splu) == 1
+            assert set(cache) == {"pattern", "lu"}
+
+    def test_warm_start_saves_lagged_steps(self, monkeypatch):
+        """Starting each lagged solve from the iterate's traces takes fewer
+        FGMRES steps than starting from zero, with the same outer counts
+        and one factorization."""
+        prob = get_problem("manufactured")
+        st = GlobalState(build_builtin_mesh(prob.boundary, (4, 2)), prob, k=2)
+        splu = self.count_splu(monkeypatch)
+        lagged = self.record_lagged(monkeypatch)
+        warm = solve_nonlinear(st)
+        warm_steps = [n for n, _ in lagged]
+        record = gsdpg.system.krylov_solve
+        monkeypatch.setattr(gsdpg.system, "krylov_solve",
+                            lambda *args, x0=None, **kwargs: record(*args, **kwargs))
+        lagged.clear()
+        cold = solve_nonlinear(st)
+        cold_steps = [n for n, _ in lagged]
+        assert warm.converged and cold.converged and warm.iterations == cold.iterations
+        assert len(warm_steps) == len(cold_steps) > 1
+        assert sum(warm_steps) < sum(cold_steps)
+        assert len(splu) == 2
+        assert np.abs(warm.U - cold.U).max() < 1e-8 * np.abs(cold.U).max()
+
+    def test_stagnating_lagged_solve_refactors_at_once(self, monkeypatch):
+        """From the initial guess, the LU of the first rect-amr system does
+        not precondition the second: the lagged solve gives up within two
+        steps (not at the cap of 20) and that system is factored afresh."""
+        prob = get_problem("rect-amr")
+        st = GlobalState(build_builtin_mesh(prob.boundary, (3, 3)), prob, k=1)
+        splu = self.count_splu(monkeypatch)
+        lagged = self.record_lagged(monkeypatch)
+        assert solve_nonlinear(st).converged
+        steps, ok = lagged[0]
+        assert not ok and 1 <= steps <= 2
+        assert all(ok for _, ok in lagged[1:])
+        assert len(splu) == 2
 
     def test_pattern_maps_are_32_bit(self, nl_state):
         cache = {}
@@ -453,7 +509,7 @@ class TestLaggedTraceSolve:
         st = nl_state
         fresh = [st.solve_linearized(N, D) for N, D in self.iterates(st)]
         splu = self.count_splu(monkeypatch)
-        monkeypatch.setattr(gsdpg.system, "krylov_solve", lambda A, b, M, params: (
+        monkeypatch.setattr(gsdpg.system, "krylov_solve", lambda A, b, M, params, x0, stall: (
             np.zeros_like(b), {"iterations": params.max_iters, "relres": 0.5,
                                "converged": False}))
         cache = {}

@@ -129,10 +129,10 @@ def _traces_from_fields(state: GlobalState, U: np.ndarray) -> None:
 def amr_loop(problem, mesh: Mesh, k: int, s: int = 2,
              params: AmrParams | None = None,
              anderson: AndersonParams | None = None,
-             norm: str = "standard"):
-    """Solve / estimate / mark / refine until nothing is marked or a budget
-    is hit.  Returns (final_state, final_U, AmrReport); ``ValueError`` if
-    the budget allows no solve at all (``max_iters < 1``)."""
+             norm: str = "standard", inner: str = "direct"):
+    """Solve (with the ``inner`` solver) / estimate / mark / refine until
+    nothing is marked or a budget is hit.  Returns (final_state, final_U,
+    AmrReport); ``ValueError`` if the budget allows no solve (``max_iters < 1``)."""
     p = params or AmrParams()
     if p.max_iters < 1:
         raise ValueError(f"AMR iteration budget max_iters must be >= 1, got {p.max_iters}")
@@ -140,7 +140,7 @@ def amr_loop(problem, mesh: Mesh, k: int, s: int = 2,
     state = GlobalState(mesh, problem, k, s=s, norm=norm)
     U0 = U = None
     for it in range(p.max_iters):
-        res = solve_nonlinear(state, anderson, U0=U0)
+        res = solve_nonlinear(state, anderson, inner=inner, U0=U0)
         U = res.U
         total, ind = estimate(state, U)
         marked = mark(ind, total, p.marking)

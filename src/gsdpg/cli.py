@@ -10,20 +10,10 @@ import numpy as np
 from . import io as gio
 from .amr import AmrParams, MarkingParams, amr_loop
 from .assembly import SourceEvaluationError
-from .mesh import MeshError, MshParseError, build_builtin_mesh, read_msh, uniform_refine
+from .mesh import MeshError, build_builtin_mesh, read_msh, uniform_refine
 from .problems import get_problem, linf_error
 from .solvers import AndersonParams, solve_nonlinear
 from .system import GlobalState
-
-
-def _load_config(path: str | None, overrides: list[str]) -> dict:
-    text = ""
-    if path:
-        with open(path) as fh:
-            text = fh.read()
-    for ov in overrides:
-        text += "\n" + ov.replace(":", "=", 1) if "=" not in ov else "\n" + ov
-    return gio.parse_config(text)
 
 
 def _build_mesh(cfg, problem):
@@ -38,10 +28,6 @@ def _anderson(cfg) -> AndersonParams:
     return AndersonParams(m=cfg["anderson_m"], rtol=cfg["rtol"], atol=cfg["atol"],
                           stol=cfg["stol"], max_iters=cfg["max_nonlinear_iters"],
                           line_search=cfg["line_search"])
-
-
-def _mesh_h(mesh) -> float:
-    return float(mesh.edge_lengths.max())
 
 
 def cmd_solve(cfg) -> int:
@@ -84,7 +70,7 @@ def cmd_converge(cfg) -> int:
                            problem.exact_psi, mesh, cfg["k"], cfg["s"])
         e_q = linf_error(lambda t, rp: state.eval_q(res.U, t, rp),
                          problem.exact_q, mesh, cfg["k"], cfg["s"])
-        rows.append({"level": level, "h": _mesh_h(mesh),
+        rows.append({"level": level, "h": float(mesh.edge_lengths.max()),
                      "n_elements": mesh.n_triangles,
                      "err_psi": e_psi, "err_q": e_q})
         print(f"level {level}: T={mesh.n_triangles} err_psi={e_psi:.3e} err_q={e_q:.3e}")
@@ -107,7 +93,7 @@ def cmd_amr(cfg) -> int:
         max_iters=cfg["max_amr_iters"], max_elements=cfg["max_elements"])
     state, U, report = amr_loop(problem, mesh, cfg["k"], s=cfg["s"],
                                 params=params, anderson=_anderson(cfg),
-                                norm=cfg["norm"])
+                                norm=cfg["norm"], inner=cfg["inner_solver"])
     for st in report.steps:
         print(f"iter {st.iteration}: T={st.n_elements} E={st.energy_residual:.6e} "
               f"marked={st.n_marked} nonlinear={st.nonlinear_iters}"
@@ -144,9 +130,13 @@ def main(argv=None) -> int:
         p.set_defaults(fn=fn)
     args = ap.parse_args(argv)
     try:
-        cfg = _load_config(args.config, args.option)
+        text = ""
+        if args.config:
+            with open(args.config) as fh:
+                text = fh.read()
+        cfg = gio.parse_config(text, args.option)
         return args.fn(cfg)
-    except (gio.ConfigError, MshParseError, MeshError, ValueError, OSError) as exc:
+    except (gio.ConfigError, MeshError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (RuntimeError, SourceEvaluationError) as exc:

@@ -36,20 +36,21 @@ CONFIG_DEFAULTS = {
 }
 
 
-def parse_config(text: str) -> dict:
-    """key = value lines; '#' starts a comment; unknown keys are rejected.
-
-    A value takes the type of its key's default; floats must be finite."""
+def parse_config(text: str, overrides=()) -> dict:
+    """key = value lines ('#' starts a comment), then KEY=VALUE overrides,
+    which win; unknown keys are rejected.  A value takes the type of its
+    key's default; floats must be finite.  Errors name the file line
+    (``line N``) or the option (``-o KEY=VALUE``)."""
     cfg = dict(CONFIG_DEFAULTS)
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {no}: expected 'key = value', got {raw!r}")
-        key, val = (part.strip() for part in line.split("=", 1))
+    lines = ((f"line {no}", raw.split("#", 1)[0].strip())
+             for no, raw in enumerate(text.splitlines(), start=1))
+    items = [(where, ln) for where, ln in lines if ln] + [(f"-o {ov}", ov) for ov in overrides]
+    for where, item in items:
+        if "=" not in item:
+            raise ConfigError(f"{where}: expected 'key = value', got {item!r}")
+        key, val = (part.strip() for part in item.split("=", 1))
         if key not in cfg:
-            raise ConfigError(f"line {no}: unknown option {key!r}")
+            raise ConfigError(f"{where}: unknown option {key!r}")
         default = CONFIG_DEFAULTS[key]
         try:
             if key == "resolution":
@@ -66,7 +67,7 @@ def parse_config(text: str) -> dict:
             else:
                 cfg[key] = val
         except ValueError:
-            raise ConfigError(f"line {no}: invalid value {val!r} for {key!r}")
+            raise ConfigError(f"{where}: invalid value {val!r} for {key!r}")
     return cfg
 
 
@@ -80,35 +81,30 @@ def convergence_csv(rows: list[dict]) -> str:
     Orders between consecutive levels use the mesh-size ratio; degenerate
     ratios (zero or non-finite errors) yield the string 'nan'.
     """
-    header = "level,h,n_elements,err_psi,order_psi,err_q,order_q"
-    out = [header]
-    prev = None
-    for row in rows:
-        o_psi = o_q = float("nan")
-        if prev is not None:
-            denom = np.log(prev["h"] / row["h"])
-            if denom > 0:
-                for name, key in (("o_psi", "err_psi"), ("o_q", "err_q")):
-                    e0, e1 = prev[key], row[key]
-                    if e0 > 0 and e1 > 0 and np.isfinite(e0) and np.isfinite(e1):
-                        val = np.log(e0 / e1) / denom
-                    else:
-                        val = float("nan")
-                    if name == "o_psi":
-                        o_psi = val
-                    else:
-                        o_q = val
+    out = ["level,h,n_elements,err_psi,order_psi,err_q,order_q"]
+    for prev, row in zip([None] + rows, rows):
+        o_psi, o_q = (_order(prev, row, key) for key in ("err_psi", "err_q"))
         out.append(",".join([
             str(row["level"]), _fmt(row["h"]), str(row["n_elements"]),
             _fmt(row["err_psi"]), _fmt(o_psi), _fmt(row["err_q"]), _fmt(o_q),
         ]))
-        prev = row
     return "\n".join(out) + "\n"
 
 
+def _order(prev: dict | None, row: dict, key: str) -> float:
+    """Observed order of the error ``key`` from level ``prev`` to ``row``,
+    nan at the first level and where it is undefined."""
+    if prev is None:
+        return float("nan")
+    denom = np.log(prev["h"] / row["h"])
+    e0, e1 = prev[key], row[key]
+    if denom > 0 and e0 > 0 and e1 > 0 and np.isfinite(e0) and np.isfinite(e1):
+        return np.log(e0 / e1) / denom
+    return float("nan")
+
+
 def amr_history_csv(steps) -> str:
-    header = "iteration,n_elements,energy_residual,n_marked,nonlinear_iters"
-    out = [header]
+    out = ["iteration,n_elements,energy_residual,n_marked,nonlinear_iters"]
     for s in steps:
         out.append(",".join([
             str(s.iteration), str(s.n_elements), _fmt(s.energy_residual),
@@ -135,21 +131,14 @@ def write_vtk(path, mesh: Mesh, point_data: dict | None = None,
         lines.append(f"3 {t[0]} {t[1]} {t[2]}")
     lines.append(f"CELL_TYPES {T}")
     lines.extend(["5"] * T)
-    if point_data:
-        lines.append(f"POINT_DATA {V}")
-        for name, arr in point_data.items():
+    for kind, n, data in (("point", V, point_data), ("cell", T, cell_data)):
+        if not data:
+            continue
+        lines.append(f"{kind.upper()}_DATA {n}")
+        for name, arr in data.items():
             arr = np.asarray(arr, dtype=float)
-            if arr.shape != (V,):
-                raise ValueError(f"point data {name!r} has shape {arr.shape}, want ({V},)")
-            lines.append(f"SCALARS {name} double 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.extend(_fmt(x) for x in arr)
-    if cell_data:
-        lines.append(f"CELL_DATA {T}")
-        for name, arr in cell_data.items():
-            arr = np.asarray(arr, dtype=float)
-            if arr.shape != (T,):
-                raise ValueError(f"cell data {name!r} has shape {arr.shape}, want ({T},)")
+            if arr.shape != (n,):
+                raise ValueError(f"{kind} data {name!r} has shape {arr.shape}, want ({n},)")
             lines.append(f"SCALARS {name} double 1")
             lines.append("LOOKUP_TABLE default")
             lines.extend(_fmt(x) for x in arr)

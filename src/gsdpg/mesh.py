@@ -245,132 +245,44 @@ class Mesh:
 def read_msh(text: str | bytes) -> Mesh:
     """Parse a Gmsh MSH ASCII v2.2 stream into a Mesh.
 
-    Only 2-node lines (boundary markers) and 3-node triangles are used; the
-    third node coordinate is ignored.  Nodes that no triangle references
-    (Gmsh writes one per geometry point) are dropped and the rest keep their
-    node-table order.  A repeated node id and a non-blank line outside a
-    ``$Section ... $EndSection`` block are errors; errors carry the
-    offending 1-based line number.
+    The stream is split into ``$Name ... $EndName`` sections, ``$MeshFormat``
+    first; unknown sections are skipped, and the counts that open ``$Nodes``
+    and ``$Elements`` must match their entries.  Only 2-node lines (boundary
+    markers) and 3-node triangles are used; the third node coordinate is
+    ignored.  Nodes that no triangle references (Gmsh writes one per
+    geometry point) are dropped and the rest keep their node-table order.
+    Errors carry the offending 1-based line number.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
     lines = text.splitlines()
-    pos = 0
-
-    def next_line():
-        nonlocal pos
-        while pos < len(lines):
-            ln = lines[pos].strip()
-            pos += 1
-            if ln:
-                return ln, pos
-        return None, pos
-
-    ln, no = next_line()
-    if ln != "$MeshFormat":
-        raise MshParseError(f"line {no}: expected $MeshFormat, got {ln!r}")
-    ln, no = next_line()
-    parts = (ln or "").split()
+    sections = _msh_sections(lines)
+    head, entries = sections["MeshFormat"]
+    no, ln = entries[0] if entries else (head, "")
+    parts = ln.split()
     if not parts or not parts[0].startswith("2.2"):
         raise MshParseError(f"line {no}: unsupported MSH version {parts[0] if parts else '?'}"
                             " (only ASCII 2.2 is supported)")
     if len(parts) >= 2 and parts[1] != "0":
         raise MshParseError(f"line {no}: binary MSH files are not supported")
-    ln, no = next_line()
-    if ln != "$EndMeshFormat":
-        raise MshParseError(f"line {no}: expected $EndMeshFormat")
-
-    node_ids: dict[int, int] = {}
-    node_lines: list[int] = []
-    coords: list[tuple[float, float]] = []
-    tris: list[tuple[int, int, int]] = []
-    tri_lines: list[int] = []
-    blines: list[tuple[int, int]] = []
-    bline_lines: list[int] = []
-
-    while True:
-        ln, no = next_line()
-        if ln is None:
-            break
-        if ln == "$Nodes":
-            ln, no = next_line()
-            try:
-                n_nodes = int(ln)
-            except (TypeError, ValueError):
-                raise MshParseError(f"line {no}: malformed node count {ln!r}")
-            for _ in range(n_nodes):
-                ln, no = next_line()
-                parts = (ln or "").split()
-                if len(parts) < 3:
-                    raise MshParseError(f"line {no}: malformed node line {ln!r}")
-                try:
-                    nid = int(parts[0])
-                    r, z = float(parts[1]), float(parts[2])
-                except ValueError:
-                    raise MshParseError(f"line {no}: malformed node line {ln!r}")
-                if not (math.isfinite(r) and math.isfinite(z)):
-                    raise MshParseError(f"line {no}: node {nid} has non-finite coordinates")
-                if nid in node_ids:
-                    raise MshParseError(f"line {no}: repeated node id {nid}")
-                node_ids[nid] = len(coords)
-                node_lines.append(no)
-                coords.append((r, z))
-            ln, no = next_line()
-            if ln != "$EndNodes":
-                raise MshParseError(f"line {no}: expected $EndNodes")
-        elif ln == "$Elements":
-            ln, no = next_line()
-            try:
-                n_elems = int(ln)
-            except (TypeError, ValueError):
-                raise MshParseError(f"line {no}: malformed element count {ln!r}")
-            for _ in range(n_elems):
-                ln, no = next_line()
-                parts = (ln or "").split()
-                if len(parts) < 3:
-                    raise MshParseError(f"line {no}: malformed element line {ln!r}")
-                try:
-                    etype = int(parts[1])
-                    n_tags = int(parts[2])
-                    nodes = [int(x) for x in parts[3 + n_tags:]]
-                except ValueError:
-                    raise MshParseError(f"line {no}: malformed element line {ln!r}")
-                if etype == 1:
-                    if len(nodes) != 2:
-                        raise MshParseError(f"line {no}: line element needs 2 nodes")
-                    blines.append(_resolve(nodes, node_ids, no))
-                    bline_lines.append(no)
-                elif etype == 2:
-                    if len(nodes) != 3:
-                        raise MshParseError(f"line {no}: triangle element needs 3 nodes")
-                    tris.append(_resolve(nodes, node_ids, no))
-                    tri_lines.append(no)
-                # other element types (points, quads, ...) are skipped
-            ln, no = next_line()
-            if ln != "$EndElements":
-                raise MshParseError(f"line {no}: expected $EndElements")
-        elif ln.startswith("$") and not ln.startswith("$End"):
-            # skip unknown section
-            end = "$End" + ln[1:]
-            while True:
-                ln2, no2 = next_line()
-                if ln2 is None:
-                    raise MshParseError(f"line {no}: unterminated section {ln}")
-                if ln2 == end:
-                    break
-        else:
-            raise MshParseError(f"line {no}: {ln!r} outside a $Section ... $EndSection block")
+    if len(entries) > 1:
+        raise MshParseError(f"line {entries[1][0]}: expected $EndMeshFormat")
+    for name in ("Nodes", "Elements"):
+        if name not in sections:
+            raise MshParseError(f"line {len(lines) + 1}: no ${name} section")
+    node_ids, coords, node_lines = _msh_nodes(_msh_counted(sections, "Nodes", "node"))
+    blines, tris = _msh_elements(_msh_counted(sections, "Elements", "element"), node_ids)
 
     if not tris:
-        raise MshParseError("no triangles found in file")
-    t = np.array(tris, dtype=int)
+        raise MshParseError(f"line {sections['Elements'][0]}: no triangles found in file")
+    t = np.array([e for _, e in tris], dtype=int)
     used = np.zeros(len(coords), dtype=bool)
     used[t] = True
-    bl = np.array(blines, dtype=int).reshape(-1, 2)
+    bl = np.array([e for _, e in blines], dtype=int).reshape(-1, 2)
     orphan = np.nonzero(~used[bl].all(axis=1))[0]
     if len(orphan):
         raise MshParseError(
-            f"line {bline_lines[orphan[0]]}: line element uses a node that no triangle references"
+            f"line {blines[orphan[0]][0]}: line element uses a node that no triangle references"
         )
     xy = np.array(coords)
     nonpositive = used & (xy[:, 0] <= 0.0)
@@ -385,17 +297,92 @@ def read_msh(text: str | bytes) -> Mesh:
     area2 = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
     bad = np.nonzero(area2 <= 0.0)[0]
     if len(bad):
-        raise MshParseError(
-            f"line {tri_lines[bad[0]]}: triangle has zero or negative area"
-        )
+        raise MshParseError(f"line {tris[bad[0]][0]}: triangle has zero or negative area")
     return Mesh(verts, t, boundary_lines=new_id[bl].tolist())
 
 
-def _resolve(nodes, node_ids, line_no):
+def _msh_sections(lines: list[str]) -> dict:
+    """{name: (header line, [(line, text), ...])} for each section; the
+    entries are the section's non-blank lines, numbered from 1."""
+    sections, name = {}, None
+    for no, raw in enumerate(lines, start=1):
+        ln = raw.strip()
+        if not ln:
+            continue
+        if name is None:
+            if not sections and ln != "$MeshFormat":
+                raise MshParseError(f"line {no}: expected $MeshFormat, got {ln!r}")
+            if not ln.startswith("$") or ln.startswith("$End"):
+                raise MshParseError(f"line {no}: {ln!r} outside a $Section ... $EndSection block")
+            name = ln[1:]
+            if name in sections and name in ("MeshFormat", "Nodes", "Elements"):
+                raise MshParseError(f"line {no}: repeated section {ln}")
+            sections[name] = (no, [])
+        elif ln == "$End" + name:
+            name = None
+        else:
+            sections[name][1].append((no, ln))
+    if name is not None:
+        raise MshParseError(f"line {sections[name][0]}: unterminated section ${name}")
+    if not sections:
+        raise MshParseError(f"line {len(lines) + 1}: expected $MeshFormat, got end of file")
+    return sections
+
+
+def _msh_counted(sections: dict, name: str, what: str) -> list:
+    """The entries of a section that opens with their count."""
+    head, entries = sections[name]
+    no, ln = entries[0] if entries else (head, "")
     try:
-        return tuple(node_ids[n] for n in nodes)
-    except KeyError as exc:
-        raise MshParseError(f"line {line_no}: element references unknown node {exc.args[0]}")
+        n = int(ln)
+    except ValueError:
+        raise MshParseError(f"line {no}: malformed {what} count {ln!r}")
+    if n != len(entries) - 1:
+        raise MshParseError(f"line {no}: ${name} declares {n} {what}s, found {len(entries) - 1}")
+    return entries[1:]
+
+
+def _msh_nodes(entries):
+    """Node id -> table row, the (r, z) table and each row's line."""
+    node_ids, coords, node_lines = {}, [], []
+    for no, ln in entries:
+        parts = ln.split()
+        try:
+            nid, r, z = int(parts[0]), float(parts[1]), float(parts[2])
+        except (IndexError, ValueError):
+            raise MshParseError(f"line {no}: malformed node line {ln!r}")
+        if not (math.isfinite(r) and math.isfinite(z)):
+            raise MshParseError(f"line {no}: node {nid} has non-finite coordinates")
+        if nid in node_ids:
+            raise MshParseError(f"line {no}: repeated node id {nid}")
+        node_ids[nid] = len(coords)
+        coords.append((r, z))
+        node_lines.append(no)
+    return node_ids, coords, node_lines
+
+
+def _msh_elements(entries, node_ids):
+    """The line elements and the triangles, each as (line, node table rows);
+    other element types (points, quads, ...) are skipped."""
+    kinds = {1: ("line", 2), 2: ("triangle", 3)}  # Gmsh type: name, nodes
+    elements = {1: [], 2: []}
+    for no, ln in entries:
+        parts = ln.split()
+        try:
+            etype, n_tags = int(parts[1]), int(parts[2])
+            nodes = [int(x) for x in parts[3 + n_tags:]]
+        except (IndexError, ValueError):
+            raise MshParseError(f"line {no}: malformed element line {ln!r}")
+        if etype not in kinds:
+            continue
+        kind, n_nodes = kinds[etype]
+        if len(nodes) != n_nodes:
+            raise MshParseError(f"line {no}: {kind} element needs {n_nodes} nodes")
+        try:
+            elements[etype].append((no, tuple(node_ids[n] for n in nodes)))
+        except KeyError as exc:
+            raise MshParseError(f"line {no}: element references unknown node {exc.args[0]}")
+    return elements[1], elements[2]
 
 
 # -- built-in meshers ---------------------------------------------------

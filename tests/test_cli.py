@@ -37,6 +37,17 @@ class TestSolveCommand:
         assert rc == 1
         assert "unknown option" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option, message", [
+        ("k=abc", "error: -o k=abc: invalid value 'abc' for 'k'"),
+        ("k:2", "error: -o k:2: expected 'key = value', got 'k:2'"),
+    ])
+    def test_bad_option_names_option(self, tmp_path, monkeypatch, capsys, option, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("problem = rect-amr\nk = 1\n")
+        rc = run_in(tmp_path, monkeypatch, ["solve", "-c", str(cfg), "-o", option])
+        assert rc == 1
+        assert capsys.readouterr().err == message + "\n"
+
     def test_unknown_problem_exits_1(self, tmp_path, monkeypatch, capsys):
         rc = run_in(tmp_path, monkeypatch, ["solve", "-o", "problem=spheromak"])
         assert rc == 1
@@ -158,6 +169,29 @@ class TestAmrCommand:
         n0 = int(hist[1].split(",")[1])
         n1 = int(hist[2].split(",")[1])
         assert n1 > n0
+
+    def test_inner_solver_reaches_every_map(self, tmp_path, monkeypatch):
+        seen = []
+        init = gsdpg.solvers.FixedPointMap.__init__
+
+        def spy(self, state, inner="direct"):
+            seen.append(inner)
+            init(self, state, inner=inner)
+
+        monkeypatch.setattr(gsdpg.solvers.FixedPointMap, "__init__", spy)
+        rc = run_in(tmp_path, monkeypatch, [
+            "amr", "-o", "problem=rect-amr", "-o", "k=1",
+            "-o", "resolution=4,4", "-o", "max_amr_iters=2", "-o", "inner_solver=gmres"])
+        assert rc == 0
+        assert seen == ["gmres", "gmres"]
+
+    def test_unknown_inner_solver_exits_1(self, tmp_path, monkeypatch, capsys):
+        rc = run_in(tmp_path, monkeypatch, [
+            "amr", "-o", "problem=rect-amr", "-o", "k=1",
+            "-o", "resolution=3,3", "-o", "inner_solver=bogus"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: unknown inner solver 'bogus'\n"
+        assert not (tmp_path / "gsdpg_amr_history.csv").exists()
 
     def test_unconverged_step_exits_2(self, tmp_path, monkeypatch, capsys):
         rc = run_in(tmp_path, monkeypatch, [

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from gsdpg.io import (
     vertex_averaged_fields,
     write_vtk,
 )
-from gsdpg.mesh import build_builtin_mesh, rectangle_curve
+from gsdpg.mesh import Mesh, build_builtin_mesh, rectangle_curve
 from gsdpg.problems import get_problem
 from gsdpg.solvers import solve_nonlinear
 from gsdpg.system import GlobalState
@@ -59,6 +61,24 @@ line_search = false
     def test_missing_equals_reports_line(self):
         with pytest.raises(ConfigError, match="line 2"):
             parse_config("k = 2\nrtol 1e-8\n")
+
+    def test_overrides_win_over_file(self):
+        cfg = parse_config("k = 3\nrtol = 1e-6\n", ["k=1", "resolution = 4,2"])
+        assert cfg["k"] == 1 and cfg["rtol"] == 1e-6 and cfg["resolution"] == (4, 2)
+
+    @pytest.mark.parametrize("option, match", [
+        ("k=abc", "-o k=abc: invalid value 'abc' for 'k'"),
+        ("omega=1", "-o omega=1: unknown option 'omega'"),
+        ("k:2", "-o k:2: expected 'key = value'"),
+        ("", "-o : expected 'key = value'"),
+        ("output_prefix", "-o output_prefix: expected 'key = value'"),
+    ])
+    def test_bad_override_names_option(self, option, match):
+        with pytest.raises(ConfigError, match=f"^{re.escape(match)}"):
+            parse_config("k = 2\n", [option])
+
+    def test_override_value_keeps_hash(self):
+        assert parse_config("", ["output_prefix=run#2"])["output_prefix"] == "run#2"
 
     def test_defaults_not_mutated(self):
         before = dict(CONFIG_DEFAULTS)
@@ -160,3 +180,65 @@ class TestVtk:
         with pytest.raises(ValueError, match="point data"):
             write_vtk(tmp_path / "bad.vtk", st.mesh,
                       point_data={"psi": np.zeros(3)})
+
+    def test_cell_shape_mismatch_rejected(self, tmp_path):
+        mesh = Mesh(*self.SQUARE)
+        with pytest.raises(ValueError, match=r"cell data 'eta' has shape \(3,\), want \(2,\)"):
+            write_vtk(tmp_path / "bad.vtk", mesh, point_data={"psi": np.zeros(4)},
+                      cell_data={"eta": np.zeros(3)})
+        assert not (tmp_path / "bad.vtk").exists()
+
+    SQUARE = (np.array([[1.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0]]),
+              np.array([[0, 1, 2], [0, 2, 3]]))
+    GEOMETRY = """# vtk DataFile Version 3.0
+gsdpg output
+ASCII
+DATASET UNSTRUCTURED_GRID
+POINTS 4 double
+1.00000000000000000e+00 0.00000000000000000e+00 0.00000000000000000e+00
+2.00000000000000000e+00 0.00000000000000000e+00 0.00000000000000000e+00
+2.00000000000000000e+00 1.00000000000000000e+00 0.00000000000000000e+00
+1.00000000000000000e+00 1.00000000000000000e+00 0.00000000000000000e+00
+CELLS 2 8
+3 0 1 2
+3 0 2 3
+CELL_TYPES 2
+5
+5
+"""
+    POINT_BLOCK = """POINT_DATA 4
+SCALARS psi double 1
+LOOKUP_TABLE default
+0.00000000000000000e+00
+1.42857142857142849e-01
+2.85714285714285698e-01
+4.28571428571428548e-01
+SCALARS q_r double 1
+LOOKUP_TABLE default
+0.00000000000000000e+00
+-3.33333333333333315e-01
+-6.66666666666666630e-01
+-1.00000000000000000e+00
+"""
+    CELL_BLOCK = """CELL_DATA 2
+SCALARS eta double 1
+LOOKUP_TABLE default
+1.00000000000000006e-01
+2.50000000000000005e-09
+"""
+
+    @pytest.mark.parametrize("points, cells", [(True, True), (True, False),
+                                               (False, True), (False, False)])
+    def test_exact_bytes(self, tmp_path, points, cells):
+        # the text the writer has always produced for these inputs
+        kw = {}
+        want = self.GEOMETRY
+        if points:
+            kw["point_data"] = {"psi": np.arange(4) / 7.0, "q_r": -np.arange(4) / 3.0}
+            want += self.POINT_BLOCK
+        if cells:
+            kw["cell_data"] = {"eta": np.array([0.1, 2.5e-9])}
+            want += self.CELL_BLOCK
+        text = write_vtk(tmp_path / "out.vtk", Mesh(*self.SQUARE), **kw)
+        assert text == want
+        assert (tmp_path / "out.vtk").read_bytes() == want.encode()

@@ -326,6 +326,65 @@ class TestMshReader:
         with pytest.raises(MshParseError, match="MeshFormat"):
             read_msh("$Nodes\n0\n$EndNodes\n")
 
+    NODE_LINES = "1 1.0 0.0 0.0\n2 2.0 0.0 0.0\n3 2.0 1.0 0.0\n4 1.0 1.0 0.0\n"
+
+    @pytest.mark.parametrize("old, new, match", [
+        ("$MeshFormat\n", "garbage\n$MeshFormat\n", "line 1: expected $MeshFormat, got 'garbage'"),
+        ("2.2 0 8\n", "", "line 1: unsupported MSH version ?"),
+        ("2.2 0 8\n", "2.2 0 8\nextra\n", "line 3: expected $EndMeshFormat"),
+        ("$EndMeshFormat\n", "", "line 1: unterminated section $MeshFormat"),
+        ("$Nodes\n4\n", "$Nodes\nfour\n", "line 5: malformed node count 'four'"),
+        ("4\n" + NODE_LINES, "", "line 4: malformed node count ''"),
+        ("1 1.0 0.0 0.0", "1 1.0", "line 6: malformed node line '1 1.0'"),
+        ("1 1.0 0.0 0.0", "1 one 0.0 0.0", "line 6: malformed node line '1 one 0.0 0.0'"),
+        ("$Nodes\n4\n", "$Nodes\n3\n", "line 5: $Nodes declares 3 nodes, found 4"),
+        ("$Nodes\n4\n", "$Nodes\n5\n", "line 5: $Nodes declares 5 nodes, found 4"),
+        ("$Nodes\n", "$Nodes\n$EndNodes\n$Nodes\n", "line 6: repeated section $Nodes"),
+        ("$Elements\n6\n", "$Elements\n6.0\n", "line 12: malformed element count '6.0'"),
+        ("1 1 2 0 1 1 2\n", "1 1\n", "line 13: malformed element line '1 1'"),
+        ("1 1 2 0 1 1 2\n", "1 1 2 0 1 1 b\n", "line 13: malformed element line '1 1 2 0 1 1 b'"),
+        ("1 1 2 0 1 1 2\n", "1 1 2 0 1 1 2 3\n", "line 13: line element needs 2 nodes"),
+        ("5 2 2 0 1 1 2 3", "5 2 2 0 1 1 2", "line 17: triangle element needs 3 nodes"),
+        ("$Elements\n6\n", "$Elements\n7\n", "line 12: $Elements declares 7 elements, found 6"),
+        ("$Elements\n6\n", "$Elements\n5\n", "line 12: $Elements declares 5 elements, found 6"),
+        ("$EndElements\n", "", "line 11: unterminated section $Elements"),
+        ("$EndNodes\n", "$EndNodes\n$Foo\n", "line 11: unterminated section $Foo"),
+        ("$Nodes\n4\n" + NODE_LINES + "$EndNodes\n", "", "line 13: no $Nodes section"),
+    ])
+    def test_rejection_reports_line(self, old, new, match):
+        assert old in MSH_VALID
+        with pytest.raises(MshParseError, match=f"^{re.escape(match)}"):
+            read_msh(MSH_VALID.replace(old, new, 1))
+
+    def test_missing_elements_section_reports_end_of_file(self):
+        text = "".join(MSH_VALID.splitlines(keepends=True)[:10]) + "\n"
+        with pytest.raises(MshParseError, match=r"^line 12: no \$Elements section"):
+            read_msh(text)
+
+    @pytest.mark.parametrize("text, line", [("", 1), ("\n  \n", 3)])
+    def test_empty_stream_reports_end_of_file(self, text, line):
+        with pytest.raises(MshParseError,
+                           match=rf"^line {line}: expected \$MeshFormat, got end of file"):
+            read_msh(text)
+
+    @pytest.mark.parametrize("element, match", [
+        ("7 1 2 0 1 2 4", r"boundary line \(1, 3\) is not a mesh edge"),
+        ("7 1 2 0 1 3 1", r"declared boundary edge \(0, 2\) is interior"),
+    ])
+    def test_boundary_line_must_be_a_boundary_edge(self, element, match):
+        text = (MSH_VALID.replace("$Elements\n6\n", "$Elements\n7\n")
+                .replace("$EndElements", f"{element}\n$EndElements"))
+        with pytest.raises(MeshError, match=match):
+            read_msh(text)
+
+    def test_disconnected_mesh_violates_euler_relation(self):
+        text = (MSH_VALID.replace("$Nodes\n4\n", "$Nodes\n7\n")
+                .replace("$EndNodes", "5 3.0 0.0 0.0\n6 4.0 0.0 0.0\n7 4.0 1.0 0.0\n$EndNodes")
+                .replace("$Elements\n6\n", "$Elements\n7\n")
+                .replace("$EndElements", "7 2 2 0 2 5 6 7\n$EndElements"))
+        with pytest.raises(MeshError, match=r"Euler relation violated: 7 - 8 \+ 3 = 2 != 1"):
+            read_msh(text)
+
     def test_no_triangles(self):
         bad = "\n".join(MSH_VALID.splitlines()[:10]) + "\n$Elements\n0\n$EndElements\n"
         with pytest.raises(MshParseError, match="no triangles"):

@@ -62,11 +62,7 @@ def mark(indicators: np.ndarray, total: float, params: MarkingParams | None = No
     n = len(ind)
     if n == 0:
         return np.array([], dtype=int)
-    cut = np.maximum.reduce([
-        np.full(n, p.atol),
-        np.full(n, p.theta_max * ind.max()),
-        np.full(n, p.theta_total * total / np.sqrt(n)),
-    ])
+    cut = np.max([p.atol, p.theta_max * ind.max(), p.theta_total * total / np.sqrt(n)])
     return np.nonzero(ind > cut)[0]
 
 
@@ -147,8 +143,9 @@ def amr_loop(problem, mesh: Mesh, k: int, s: int = 2,
         report.steps.append(AmrStep(it, state.mesh.n_triangles, total,
                                     len(marked), res.iterations, res.converged))
         if len(marked) == 0:
-            report.converged = True
-            report.message = "no elements above marking thresholds"
+            report.converged = res.converged
+            report.message = "no elements above marking thresholds" + (
+                "" if res.converged else ", but the last nonlinear solve did not converge")
             return state, U, report
         if state.mesh.n_triangles >= p.max_elements:
             report.message = "element budget exhausted"

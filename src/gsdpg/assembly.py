@@ -123,7 +123,7 @@ class ElementCache:
 
         # reference tables shared by all elements
         self.tv = test.basis.eval(self.vol_rule.points)
-        self.uv = trial.q_basis.eval(self.vol_rule.points)
+        self.uv = trial.basis.eval(self.vol_rule.points)
         # TU[q, i * nk + j] = tv[q, i] uv[q, j]: the D moments are one GEMM
         self.TU = (self.tv[:, :, None] * self.uv[:, None, :]).reshape(len(self.tv), -1)
         self.n = n = test.nks

@@ -26,7 +26,6 @@ class QuadratureRule:
 
     points: np.ndarray
     weights: np.ndarray
-    degree: int
 
 
 def _gauss_jacobi(n: int, a: float, b: float):
@@ -68,7 +67,7 @@ def triangle_rule(degree: int) -> QuadratureRule:
     uu, vv = np.meshgrid(u, v, indexing="ij")
     pts = np.column_stack([(uu * (1.0 - vv)).ravel(), vv.ravel()])
     w = np.outer(wu, wv).ravel()
-    return QuadratureRule(pts, w, degree)
+    return QuadratureRule(pts, w)
 
 
 @lru_cache(maxsize=None)
@@ -78,7 +77,7 @@ def edge_rule(degree: int) -> QuadratureRule:
         raise ValueError(f"edge quadrature degree {degree} outside [0, {MAX_QUAD_DEGREE}]")
     n = degree // 2 + 1
     x, w = leggauss(n)
-    return QuadratureRule(0.5 * (x[:, None] + 1.0), 0.5 * w, degree)
+    return QuadratureRule(0.5 * (x[:, None] + 1.0), 0.5 * w)
 
 
 def default_volume_degree(k: int, s: int) -> int:
@@ -102,44 +101,32 @@ def _monomial_exponents(order: int) -> list[tuple[int, int]]:
 def _orthonormal_coeffs(order: int) -> np.ndarray:
     """Coefficient matrix C with phi_i = sum_j C[j, i] * x^a_j y^b_j.
 
-    Built from an exact rational LDL^T factorization of the monomial mass
-    matrix on the reference triangle (int x^a y^b = a! b! / (a+b+2)!), so the
-    resulting set is orthonormal to machine precision.
+    Exact rational forward elimination of [M | I], M the monomial mass
+    matrix on the reference triangle (int x^a y^b = a! b! / (a+b+2)!).  With
+    M = L D L^T it leaves D on the diagonal of the left block and L^{-1} in
+    the right one, so the resulting set is orthonormal to machine precision.
     """
     exps = _monomial_exponents(order)
     n = len(exps)
-    M = [[Fraction(0)] * n for _ in range(n)]
-    for i, (ai, bi) in enumerate(exps):
-        for j, (aj, bj) in enumerate(exps):
-            a, b = ai + aj, bi + bj
-            M[i][j] = Fraction(math.factorial(a) * math.factorial(b), math.factorial(a + b + 2))
-    # exact LDL^T
-    L = [[Fraction(0)] * n for _ in range(n)]
-    D = [Fraction(0)] * n
-    for i in range(n):
-        for j in range(i):
-            s = M[i][j] - sum(L[i][k] * L[j][k] * D[k] for k in range(j))
-            L[i][j] = s / D[j]
-        L[i][i] = Fraction(1)
-        D[i] = M[i][i] - sum(L[i][k] * L[i][k] * D[k] for k in range(i))
-    # exact inverse of the unit lower-triangular factor
-    W = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        W[i][i] = Fraction(1)
-        for j in range(i - 1, -1, -1):
-            W[i][j] = -sum(L[i][k] * W[k][j] for k in range(j, i))
+    A = [[Fraction(math.factorial(ai + aj) * math.factorial(bi + bj),
+                   math.factorial(ai + aj + bi + bj + 2)) for aj, bj in exps]
+         + [Fraction(int(i == j)) for j in range(n)]
+         for i, (ai, bi) in enumerate(exps)]
+    for j in range(n):  # M is SPD: no pivoting
+        nz = slice(j + 1, n + j + 1)  # the rest of row j is done or zero
+        for i in range(j + 1, n):
+            f = A[i][j] / A[j][j]
+            A[i][nz] = [x - f * y for x, y in zip(A[i][nz], A[j][nz])]
     C = np.empty((n, n))
     for i in range(n):
-        di = 1.0 / math.sqrt(float(D[i]))
+        di = 1.0 / math.sqrt(float(A[i][i]))
         for j in range(n):
-            C[j, i] = float(W[i][j]) * di
+            C[j, i] = float(A[i][n + j]) * di
     return C
 
 
 class TriangleModalBasis:
     """L2-orthonormal modal basis of P^order on the reference triangle."""
-
-    kind = "modal-triangle"
 
     def __init__(self, order: int):
         if not 0 <= order <= MAX_BASIS_ORDER:
@@ -178,8 +165,6 @@ def lobatto_nodes(order: int) -> np.ndarray:
 class EdgeNodalBasis:
     """Lagrange basis of P^order on [0,1] at Gauss-Lobatto nodes."""
 
-    kind = "nodal-edge"
-
     def __init__(self, order: int):
         if not 1 <= order <= MAX_BASIS_ORDER:
             raise ValueError(f"nodal basis order {order} outside [1, {MAX_BASIS_ORDER}]")
@@ -194,10 +179,3 @@ class EdgeNodalBasis:
         t = np.asarray(points, dtype=float)
         V = np.vander(t.ravel(), self.dim, increasing=True)
         return (V @ self._coeffs).reshape(*t.shape, self.dim)
-
-    def grad(self, points: np.ndarray) -> np.ndarray:
-        """Derivatives (..., dim) at points (...) in [0,1]."""
-        t = np.asarray(points, dtype=float)
-        e = np.arange(self.dim)
-        Vd = np.where(e > 0, e * t.reshape(-1, 1) ** np.maximum(e - 1, 0), 0.0)
-        return (Vd @ self._coeffs).reshape(*t.shape, self.dim)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .krylov import KrylovParams, krylov_solve  # noqa: F401 (KrylovParams re-exported)
+from .krylov import krylov_solve
 from .system import GlobalState, _factor_trace
 
 
@@ -256,7 +256,7 @@ def anderson_solve(fp_map, U0: np.ndarray, params: AndersonParams | None = None)
             return SolveResult(U_hist[1], False, k, history,
                                f"non-finite residual at iteration {k}")
         if k >= p.max_iters:
-            ok = rk < stop
+            ok = bool(rk < stop)
             return SolveResult(U_hist[0], ok, k, history,
                                "converged" if ok else "max_iters exceeded")
         step = np.linalg.norm(U_hist[0] - U_hist[1])

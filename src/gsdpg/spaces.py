@@ -27,8 +27,7 @@ class TrialSpace:
         self.mesh = mesh
         self.k = k
         self.nk = triangle_dim(k)
-        self.q_basis = TriangleModalBasis(k)
-        self.psi_basis = self.q_basis
+        self.basis = TriangleModalBasis(k)  # both interior fields, q and psi
         self.qhat_basis = EdgeNodalBasis(k)
         self.psihat_basis = EdgeNodalBasis(k + 1)
 
@@ -92,13 +91,9 @@ class TestSpace:
     def __init__(self, mesh: Mesh, k: int, s: int):
         if s < 2:
             raise ValueError("test space requires enrichment s >= 2")
-        self.mesh = mesh
-        self.k = k
         self.s = s
-        self.order = k + s
         self.nks = triangle_dim(k + s)
         self.basis = TriangleModalBasis(k + s)
-        self.n_element = 3 * self.nks  # phi_r, phi_z, tau
 
 
 @dataclass(frozen=True)

@@ -353,12 +353,12 @@ class GlobalState:
     def eval_psi(self, U: np.ndarray, tri, ref_points: np.ndarray) -> np.ndarray:
         """psi at n reference points of element ``tri``: (n,), or (m, n) for
         an index array of m elements."""
-        vals = self.trial.psi_basis.eval(ref_points)
+        vals = self.trial.basis.eval(ref_points)
         return (vals @ self.interior_coeffs(U)[1][tri][..., None])[..., 0]
 
     def eval_q(self, U: np.ndarray, tri, ref_points: np.ndarray) -> np.ndarray:
         """q at n reference points of element ``tri``: (n, 2), or (m, n, 2)
         for an index array of m elements."""
-        vals = self.trial.q_basis.eval(ref_points)
+        vals = self.trial.basis.eval(ref_points)
         return vals @ np.swapaxes(self.interior_coeffs(U)[0][tri], -1, -2)
 

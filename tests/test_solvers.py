@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -6,12 +7,12 @@ import scipy.sparse.linalg as spla
 
 import gsdpg.system
 from gsdpg.assembly import SourceEvaluationError
+from gsdpg.krylov import KrylovParams
 from gsdpg.mesh import bisect_conforming, build_builtin_mesh, rectangle_curve
 from gsdpg.problems import get_problem
 from gsdpg.solvers import (
     AndersonParams,
     FixedPointMap,
-    KrylovParams,
     anderson_solve,
     build_block_jacobi,
     cubic_line_search,
@@ -353,6 +354,17 @@ class TestAndersonScalarMap:
         assert r0.converged and r1.converged
         assert r1.iterations < r0.iterations
         assert float(r1.U[0]) == pytest.approx(COS_FIXED_POINT, abs=1e-9)
+
+    def test_flag_at_iteration_budget_is_bool(self):
+        # at max_iters the flag is a comparison of numpy norms
+        params = AndersonParams(m=0, rtol=1e-6, max_iters=100, line_search=False)
+        needed = anderson_solve(np.cos, np.array([1.0]), params).iterations
+        for budget, converged in ((needed - 1, False), (needed, True)):
+            res = anderson_solve(np.cos, np.array([1.0]),
+                                 dataclasses.replace(params, max_iters=budget))
+            assert res.iterations == budget
+            assert res.converged is converged
+            json.dumps(dataclasses.asdict(dataclasses.replace(res, U=None)))
 
     def test_history_tracks_residual_norms(self):
         params = AndersonParams(m=2, rtol=1e-8, max_iters=100, line_search=False)

@@ -116,9 +116,8 @@ class TestTestSpace:
         ts = TestSpace(m, 2, 2)
         nks = (2 + 2 + 1) * (2 + 2 + 2) // 2
         assert ts.nks == nks
-        assert ts.n_element == 3 * nks
         cache = ElementCache(m, TrialSpace(m, 2), ts)
-        assert cache.W.shape[:2] == (m.n_triangles, ts.n_element)
+        assert cache.W.shape[:2] == (m.n_triangles, 3 * ts.nks)
 
     def test_enrichment_lower_bound(self):
         with pytest.raises(ValueError):
@@ -131,7 +130,7 @@ class TestTestSpace:
         B, _ = ElementCache(m, TrialSpace(m, 1), ts).matrices()
         rows = np.arange(B.shape[0] * B.shape[1]).reshape(B.shape[:2])
         all_rows = np.concatenate([rows[t] for t in range(m.n_triangles)])
-        assert np.array_equal(np.sort(all_rows), np.arange(m.n_triangles * ts.n_element))
+        assert np.array_equal(np.sort(all_rows), np.arange(m.n_triangles * 3 * ts.nks))
 
 
 def reference_boundary(space, psi_d):

@@ -9,17 +9,16 @@ solution as the next initial guess, and repeat.  The adapted mesh stays
 symmetric about the midplane and concentrates elements near the corners.
 """
 
-import numpy as np
+from dataclasses import asdict
 
 from gsdpg import (
     AmrParams,
-    GlobalState,
     MarkingParams,
     amr_loop,
     build_builtin_mesh,
     get_problem,
 )
-from gsdpg.io import amr_history_csv, vertex_averaged_fields, write_vtk
+from gsdpg.io import vertex_averaged_fields, write_csv, write_vtk
 
 problem = get_problem("rect-amr")
 mesh = build_builtin_mesh(problem.boundary, resolution=(8, 8))
@@ -38,8 +37,8 @@ for s in report.steps:
           f"{s.n_marked:7d} {s.nonlinear_iters:8d}")
 print(f"stopped: {report.message or 'estimator below thresholds'}")
 
-with open("amr_history.csv", "w") as fh:
-    fh.write(amr_history_csv(report.steps))
+rows = [asdict(s) for s in report.steps]
+write_csv("amr_history.csv", list(rows[0]), rows)
 
 total, indicators = state.energy_residual(U)
 write_vtk("amr_solution.vtk", state.mesh,

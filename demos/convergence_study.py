@@ -2,46 +2,21 @@
 
 A manufactured flux function on the ITER-shaped domain exercises the
 nonlinear source path: each uniform refinement should reduce the L-inf
-errors of both the flux and its scaled gradient by roughly 2**(k+1).
-This script prints the error table and observed orders for k=2.
+errors of both the flux and its scaled gradient, and the built-in energy
+residual E, by roughly 2**(k+1).  This script prints the study's table of
+errors and observed orders for k=2.
 """
 
-import numpy as np
-
-from gsdpg import (
-    GlobalState,
-    build_builtin_mesh,
-    get_problem,
-    solve_nonlinear,
-    uniform_refine,
-)
-from gsdpg.problems import linf_error
-
-K = 2
-LEVELS = 4
+from gsdpg import build_builtin_mesh, convergence_study, get_problem
 
 problem = get_problem("manufactured")
 mesh = build_builtin_mesh(problem.boundary, resolution=(8, 2))
 
-errors = []
-print(f"{'level':>5} {'elements':>9} {'err_psi':>11} {'ord':>5} "
+print(f"{'level':>5} {'elements':>9} {'E':>11} {'ord':>5} {'err_psi':>11} {'ord':>5} "
       f"{'err_q':>11} {'ord':>5} {'nl_iters':>8}")
-for level in range(LEVELS):
-    state = GlobalState(mesh, problem, k=K)
-    result = solve_nonlinear(state)
-    assert result.converged, result.message
-    e_psi = linf_error(lambda t, ref: state.eval_psi(result.U, t, ref),
-                       problem.exact_psi, mesh, K)
-    e_q = linf_error(lambda t, ref: state.eval_q(result.U, t, ref),
-                     problem.exact_q, mesh, K)
-    if errors:
-        o_psi = np.log2(errors[-1][0] / e_psi)
-        o_q = np.log2(errors[-1][1] / e_q)
-        orders = f"{o_psi:5.2f} {e_q:11.3e} {o_q:5.2f}"
-    else:
-        orders = f"{'-':>5} {e_q:11.3e} {'-':>5}"
-    print(f"{level:5d} {mesh.n_triangles:9d} {e_psi:11.3e} {orders} "
-          f"{result.iterations:8d}")
-    errors.append((e_psi, e_q))
-    if level < LEVELS - 1:
-        mesh = uniform_refine(mesh)
+for row in convergence_study(problem, mesh, k=2, levels=4):
+    assert row["converged"], f"level {row['level']} did not converge"
+    print(f"{row['level']:5d} {row['n_elements']:9d} "
+          f"{row['energy_residual']:11.3e} {row['order_energy']:5.2f} "
+          f"{row['err_psi']:11.3e} {row['order_psi']:5.2f} "
+          f"{row['err_q']:11.3e} {row['order_q']:5.2f} {row['nonlinear_iters']:8d}")

@@ -2,7 +2,7 @@
 finite-element discretization with Anderson-accelerated Picard iteration and
 residual-driven adaptive refinement."""
 
-from .amr import AmrParams, MarkingParams, amr_loop
+from .amr import AmrParams, MarkingParams, amr_loop, convergence_study
 from .krylov import KrylovParams, krylov_solve
 from .mesh import (
     BoundaryCurve,
@@ -23,6 +23,6 @@ __all__ = [
     "AmrParams", "AndersonParams", "BoundaryCurve", "GlobalState", "KrylovParams",
     "MarkingParams", "Mesh", "MeshError", "MshParseError", "ProblemSpec",
     "SolveResult", "amr_loop", "build_block_jacobi", "build_builtin_mesh",
-    "get_problem", "krylov_solve", "linf_error", "read_msh", "solve_nonlinear",
-    "uniform_refine",
+    "convergence_study", "get_problem", "krylov_solve", "linf_error", "read_msh",
+    "solve_nonlinear", "uniform_refine",
 ]

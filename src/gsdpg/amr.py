@@ -1,10 +1,11 @@
-"""Residual-driven adaptive mesh refinement.
+"""Residual-driven adaptive mesh refinement, and the uniform-refinement study.
 
 The built-in energy residual of the minimal-residual scheme serves as the
 error estimator: elements are marked by a three-way threshold (absolute
 floor, fraction of the largest indicator, fraction of the mean-scaled total),
 bisected with conforming closure, and the previous solution is transferred
-to the new mesh as the next initial iterate.
+to the new mesh as the next initial iterate.  The uniform study reports the
+same residual, and the sup-norm errors where an exact solution is known.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import Mesh, bisect_conforming
+from .mesh import Mesh, bisect_conforming, uniform_refine
+from .problems import linf_error
 from .solvers import AndersonParams, solve_nonlinear
 from .spaces import _REF_VERTS, last_occurrence
 from .system import GlobalState
@@ -158,3 +160,46 @@ def amr_loop(problem, mesh: Mesh, k: int, s: int = 2,
         state = new_state
     report.message = "max AMR iterations reached"
     return state, U, report
+
+
+def convergence_study(problem, mesh: Mesh, k: int, levels: int, s: int = 2,
+                      anderson: AndersonParams | None = None,
+                      norm: str = "standard", inner: str = "direct"):
+    """Solve (with the ``inner`` solver, from zero) on ``mesh`` and on
+    ``levels - 1`` successive uniform refinements of it, yielding one row
+    per level as it finishes: the largest edge ``h``, the element count, the
+    energy residual and the sup-norm errors of psi and q (nan without an
+    exact solution), each with its order against the previous level, and
+    the solve's iterations and convergence.  Stops after the first level
+    that does not converge; ``ValueError`` if ``levels < 1``."""
+    if levels < 1:
+        raise ValueError(f"convergence study needs levels >= 1, got {levels}")
+    prev = None
+    for level in range(levels):
+        if level:
+            mesh = uniform_refine(mesh)
+        state = GlobalState(mesh, problem, k, s=s, norm=norm)
+        res = solve_nonlinear(state, anderson, inner=inner)
+        row = {"level": level, "h": float(mesh.edge_lengths.max()),
+               "n_elements": mesh.n_triangles,
+               "energy_residual": state.energy_residual(res.U)[0]}
+        row["order_energy"] = _order(prev, row, "energy_residual")
+        for name, exact, field in (("psi", problem.exact_psi, state.eval_psi),
+                                   ("q", problem.exact_q, state.eval_q)):
+            row[f"err_{name}"] = float("nan") if exact is None else linf_error(
+                lambda t, rp: field(res.U, t, rp), exact, mesh, k, s)
+            row[f"order_{name}"] = _order(prev, row, f"err_{name}")
+        row.update(nonlinear_iters=res.iterations, converged=res.converged)
+        yield row
+        if not res.converged:
+            return
+        prev = row
+
+
+def _order(prev: dict | None, row: dict, key: str) -> float:
+    """Observed order of the error ``key`` from level ``prev`` to ``row``,
+    nan at the first level and where it is undefined."""
+    e0 = np.nan if prev is None else prev[key]
+    if 0 < e0 < np.inf and 0 < row[key] < np.inf and prev["h"] > row["h"]:
+        return np.log(e0 / row[key]) / np.log(prev["h"] / row["h"])
+    return float("nan")

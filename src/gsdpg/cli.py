@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-
-import numpy as np
+from dataclasses import asdict
 
 from . import io as gio
-from .amr import AmrParams, MarkingParams, amr_loop
+from .amr import AmrParams, MarkingParams, amr_loop, convergence_study
 from .assembly import SourceEvaluationError
-from .mesh import MeshError, build_builtin_mesh, read_msh, uniform_refine
+from .mesh import MeshError, build_builtin_mesh, read_msh
 from .problems import get_problem, linf_error
 from .solvers import AndersonParams, solve_nonlinear
 from .system import GlobalState
@@ -30,12 +29,21 @@ def _anderson(cfg) -> AndersonParams:
                           line_search=cfg["line_search"])
 
 
+def _write_solution(cfg, state, U) -> tuple[float, str]:
+    """Write the solution VTK; returns (energy residual, path)."""
+    total, ind = state.energy_residual(U)
+    out = cfg["output_prefix"] + "_solution.vtk"
+    gio.write_vtk(out, state.mesh, point_data=gio.vertex_averaged_fields(state, U),
+                  cell_data={"energy_residual": ind})
+    return total, out
+
+
 def cmd_solve(cfg) -> int:
     problem = get_problem(cfg["problem"])
     mesh = _build_mesh(cfg, problem)
     state = GlobalState(mesh, problem, cfg["k"], s=cfg["s"], norm=cfg["norm"])
     res = solve_nonlinear(state, _anderson(cfg), inner=cfg["inner_solver"])
-    total, ind = state.energy_residual(res.U)
+    total, out = _write_solution(cfg, state, res.U)
     print(f"problem={problem.name} k={cfg['k']} elements={mesh.n_triangles}")
     print(f"nonlinear iterations: {res.iterations} ({res.message})")
     print(f"energy residual: {total:.6e}")
@@ -43,43 +51,27 @@ def cmd_solve(cfg) -> int:
         e_psi = linf_error(lambda t, rp: state.eval_psi(res.U, t, rp),
                            problem.exact_psi, mesh, cfg["k"], cfg["s"])
         print(f"max error psi: {e_psi:.6e}")
-    out = cfg["output_prefix"] + "_solution.vtk"
-    gio.write_vtk(out, mesh, point_data=gio.vertex_averaged_fields(state, res.U),
-                  cell_data={"energy_residual": ind})
     print(f"wrote {out}")
     return 0 if res.converged else 2
 
 
 def cmd_converge(cfg) -> int:
-    if cfg["levels"] < 1:
-        raise ValueError(f"convergence study needs levels >= 1, got {cfg['levels']}")
     problem = get_problem(cfg["problem"])
-    if problem.exact_psi is None:
-        print(f"problem {problem.name!r} has no exact solution", file=sys.stderr)
-        return 2
-    mesh = _build_mesh(cfg, problem)
     rows = []
-    for level in range(cfg["levels"]):
-        state = GlobalState(mesh, problem, cfg["k"], s=cfg["s"], norm=cfg["norm"])
-        res = solve_nonlinear(state, _anderson(cfg), inner=cfg["inner_solver"])
-        if not res.converged:
-            print(f"level {level}: nonlinear solve failed ({res.message})",
-                  file=sys.stderr)
-            return 2
-        e_psi = linf_error(lambda t, rp: state.eval_psi(res.U, t, rp),
-                           problem.exact_psi, mesh, cfg["k"], cfg["s"])
-        e_q = linf_error(lambda t, rp: state.eval_q(res.U, t, rp),
-                         problem.exact_q, mesh, cfg["k"], cfg["s"])
-        rows.append({"level": level, "h": float(mesh.edge_lengths.max()),
-                     "n_elements": mesh.n_triangles,
-                     "err_psi": e_psi, "err_q": e_q})
-        print(f"level {level}: T={mesh.n_triangles} err_psi={e_psi:.3e} err_q={e_q:.3e}")
-        if level < cfg["levels"] - 1:
-            mesh = uniform_refine(mesh)
+    for row in convergence_study(problem, _build_mesh(cfg, problem), cfg["k"],
+                                 cfg["levels"], s=cfg["s"], anderson=_anderson(cfg),
+                                 norm=cfg["norm"], inner=cfg["inner_solver"]):
+        rows.append(row)
+        print(f"level {row['level']}: T={row['n_elements']} "
+              f"E={row['energy_residual']:.3e} err_psi={row['err_psi']:.3e} "
+              f"err_q={row['err_q']:.3e}" + ("" if row["converged"] else " (not converged)"))
     out = cfg["output_prefix"] + "_convergence.csv"
-    with open(out, "w", newline="\n") as fh:
-        fh.write(gio.convergence_csv(rows))
+    gio.write_csv(out, list(rows[0]), rows)
     print(f"wrote {out}")
+    if not rows[-1]["converged"]:
+        print(f"level {rows[-1]['level']}: nonlinear solve did not converge",
+              file=sys.stderr)
+        return 2
     return 0
 
 
@@ -104,13 +96,9 @@ def cmd_amr(cfg) -> int:
         print(f"nonlinear solve did not converge at AMR iteration(s) "
               f"{', '.join(map(str, failed))}", file=sys.stderr)
     hist = cfg["output_prefix"] + "_amr_history.csv"
-    with open(hist, "w", newline="\n") as fh:
-        fh.write(gio.amr_history_csv(report.steps))
-    total, ind = state.energy_residual(U)
-    out = cfg["output_prefix"] + "_solution.vtk"
-    gio.write_vtk(out, state.mesh,
-                  point_data=gio.vertex_averaged_fields(state, U),
-                  cell_data={"energy_residual": ind})
+    rows = [asdict(st) for st in report.steps]
+    gio.write_csv(hist, list(rows[0]), rows)
+    _, out = _write_solution(cfg, state, U)
     print(f"wrote {hist} and {out}")
     return 2 if failed else 0
 

@@ -75,42 +75,18 @@ def _fmt(x: float) -> str:
     return f"{x:.17e}"
 
 
-def convergence_csv(rows: list[dict]) -> str:
-    """Serialize a convergence study: one row per refinement level.
-
-    Orders between consecutive levels use the mesh-size ratio; degenerate
-    ratios (zero or non-finite errors) yield the string 'nan'.
-    """
-    out = ["level,h,n_elements,err_psi,order_psi,err_q,order_q"]
-    for prev, row in zip([None] + rows, rows):
-        o_psi, o_q = (_order(prev, row, key) for key in ("err_psi", "err_q"))
-        out.append(",".join([
-            str(row["level"]), _fmt(row["h"]), str(row["n_elements"]),
-            _fmt(row["err_psi"]), _fmt(o_psi), _fmt(row["err_q"]), _fmt(o_q),
-        ]))
-    return "\n".join(out) + "\n"
-
-
-def _order(prev: dict | None, row: dict, key: str) -> float:
-    """Observed order of the error ``key`` from level ``prev`` to ``row``,
-    nan at the first level and where it is undefined."""
-    if prev is None:
-        return float("nan")
-    denom = np.log(prev["h"] / row["h"])
-    e0, e1 = prev[key], row[key]
-    if denom > 0 and e0 > 0 and e1 > 0 and np.isfinite(e0) and np.isfinite(e1):
-        return np.log(e0 / e1) / denom
-    return float("nan")
-
-
-def amr_history_csv(steps) -> str:
-    out = ["iteration,n_elements,energy_residual,n_marked,nonlinear_iters"]
-    for s in steps:
-        out.append(",".join([
-            str(s.iteration), str(s.n_elements), _fmt(s.energy_residual),
-            str(s.n_marked), str(s.nonlinear_iters),
-        ]))
-    return "\n".join(out) + "\n"
+def write_csv(path, columns, rows) -> str:
+    """Write a header of ``columns``, then each row's values of those keys:
+    integers (and flags) as they are, floats as ``%.17e``.  Returns the text
+    written."""
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v)
+                              for v in (row[c] for c in columns)))
+    text = "\n".join(lines) + "\n"
+    with open(path, "w", newline="\n") as fh:
+        fh.write(text)
+    return text
 
 
 def write_vtk(path, mesh: Mesh, point_data: dict | None = None,

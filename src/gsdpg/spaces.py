@@ -88,7 +88,7 @@ class TrialSpace:
 class TestSpace:
     """Broken enriched test space V_h^{k,s}, fully element-local."""
 
-    def __init__(self, mesh: Mesh, k: int, s: int):
+    def __init__(self, k: int, s: int):
         if s < 2:
             raise ValueError("test space requires enrichment s >= 2")
         self.s = s

@@ -72,7 +72,7 @@ class GlobalState:
         self.mesh = mesh
         self.problem = problem
         self.trial = TrialSpace(mesh, k)
-        self.test = TestSpace(mesh, k, s)
+        self.test = TestSpace(k, s)
         self.cache = ElementCache(mesh, self.trial, self.test, norm=norm)
         self.bdata = interpolate_boundary(self.trial, problem.psi_d)
         self.n_total = self.trial.n_total

@@ -15,10 +15,17 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from gsdpg.amr import AmrParams, MarkingParams, amr_loop, estimate, mark
+from gsdpg.amr import (
+    AmrParams,
+    MarkingParams,
+    amr_loop,
+    convergence_study,
+    estimate,
+    mark,
+)
 from gsdpg.assembly import ADJOINT_GRAPH, STANDARD
 from gsdpg.mesh import build_builtin_mesh, uniform_refine
-from gsdpg.problems import get_problem, linf_error
+from gsdpg.problems import get_problem
 from gsdpg.solvers import (
     AndersonParams,
     build_block_jacobi,
@@ -33,32 +40,18 @@ from gsdpg.system import GlobalState
 
 
 def run_convergence(problem_name, resolution, k, levels, norm=STANDARD):
-    """Solve on a uniformly refined hierarchy; return errors and timings."""
+    """The library's uniform-refinement study as columns, each order column
+    from the second level on, and its wall time; every level must converge."""
     prob = get_problem(problem_name)
     mesh = build_builtin_mesh(prob.boundary, resolution)
-    out = {"err_psi": [], "err_q": [], "n_elements": [], "iters": []}
     t0 = time.monotonic()
-    for lev in range(levels):
-        st = GlobalState(mesh, prob, k, norm=norm)
-        res = solve_nonlinear(st)
-        assert res.converged, f"{problem_name} k={k} level {lev}: {res.message}"
-        out["err_psi"].append(linf_error(
-            lambda t, ref: st.eval_psi(res.U, t, ref), prob.exact_psi, mesh, k))
-        out["err_q"].append(linf_error(
-            lambda t, ref: st.eval_q(res.U, t, ref), prob.exact_q, mesh, k))
-        out["n_elements"].append(mesh.n_triangles)
-        out["iters"].append(res.iterations)
-        if lev < levels - 1:
-            mesh = uniform_refine(mesh)
-    out["elapsed"] = time.monotonic() - t0
-    out["order_psi"] = orders(out["err_psi"])
-    out["order_q"] = orders(out["err_q"])
+    rows = list(convergence_study(prob, mesh, k, levels, norm=norm))
+    elapsed = time.monotonic() - t0
+    assert rows[-1]["converged"], f"{problem_name} k={k} level {rows[-1]['level']}"
+    out = {key: [row[key] for row in rows] for key in rows[0]}
+    out.update({key: col[1:] for key, col in out.items() if key.startswith("order_")})
+    out["elapsed"] = elapsed
     return out
-
-
-def orders(errors):
-    e = np.asarray(errors)
-    return list(np.log2(e[:-1] / e[1:]))
 
 
 def random_iterate(state, seed=0, scale=0.1):
@@ -86,18 +79,8 @@ def free_dofs(state):
 
 def uniform_energy_series(problem_name, resolution, k, levels):
     """(n_elements, E_total) on a uniformly refined hierarchy."""
-    prob = get_problem(problem_name)
-    mesh = build_builtin_mesh(prob.boundary, resolution)
-    series = []
-    for lev in range(levels):
-        st = GlobalState(mesh, prob, k)
-        res = solve_nonlinear(st)
-        assert res.converged
-        total, _ = st.energy_residual(res.U)
-        series.append((mesh.n_triangles, total))
-        if lev < levels - 1:
-            mesh = uniform_refine(mesh)
-    return series
+    study = run_convergence(problem_name, resolution, k, levels)
+    return list(zip(study["n_elements"], study["energy_residual"]))
 
 
 def interp_loglog(series, n):
@@ -192,6 +175,10 @@ class TestManufacturedConvergence:
 
     def test_k2_flux_gradient_order(self, manufactured_k2):
         assert manufactured_k2["order_q"][-1] >= 2.7
+
+    def test_k2_energy_residual_order(self, manufactured_k2):
+        # the built-in estimator falls at the same order k+1 as the errors
+        assert 2.8 <= manufactured_k2["order_energy"][-1] <= 3.2
 
     def test_k3_flux_gradient_orders(self, manufactured_k3):
         for o in manufactured_k3["order_q"]:

@@ -33,7 +33,7 @@ def axis_mesh():
 
 def make_cache(mesh, k=2, s=2, norm=STANDARD):
     trial = TrialSpace(mesh, k)
-    test = TestSpace(mesh, k, s)
+    test = TestSpace(k, s)
     return ElementCache(mesh, trial, test, norm=norm), trial, test
 
 
@@ -256,7 +256,7 @@ class TestElementMatrix:
     def test_unknown_norm_rejected(self):
         mesh = small_mesh()
         trial = TrialSpace(mesh, 1)
-        test = TestSpace(mesh, 1, 2)
+        test = TestSpace(1, 2)
         with pytest.raises(ValueError, match="norm"):
             ElementCache(mesh, trial, test, norm="energy")
 

@@ -4,10 +4,12 @@ import os
 import numpy as np
 import pytest
 
+import gsdpg.amr
 import gsdpg.cli
 import gsdpg.solvers
 from gsdpg.cli import main
 from gsdpg.problems import get_problem
+from gsdpg.solvers import AndersonParams
 
 
 def run_in(tmp_path, monkeypatch, argv):
@@ -133,10 +135,12 @@ class TestConvergeCommand:
             "-o", "resolution=4,2", "-o", "levels=2"])
         assert rc == 0
         csv = (tmp_path / "gsdpg_convergence.csv").read_text().strip().split("\n")
-        assert csv[0] == "level,h,n_elements,err_psi,order_psi,err_q,order_q"
+        assert csv[0] == ("level,h,n_elements,energy_residual,order_energy,"
+                          "err_psi,order_psi,err_q,order_q,nonlinear_iters,converged")
         assert len(csv) == 3
-        order = float(csv[2].split(",")[4])
-        assert 1.0 < order < 3.0
+        row = csv[2].split(",")
+        assert 1.0 < float(row[6]) < 3.0
+        assert row[-2:] == ["1", "True"]
 
     @pytest.mark.parametrize("levels", [0, -1])
     def test_nonpositive_levels_exits_1(self, tmp_path, monkeypatch, capsys, levels):
@@ -149,11 +153,42 @@ class TestConvergeCommand:
         assert "level" not in out
         assert not (tmp_path / "gsdpg_convergence.csv").exists()
 
-    def test_problem_without_exact_solution_exits_2(self, tmp_path, monkeypatch, capsys):
+    def test_problem_without_exact_solution_reports_energy_only(self, tmp_path, monkeypatch):
         rc = run_in(tmp_path, monkeypatch, [
-            "converge", "-o", "problem=rect-amr", "-o", "levels=2"])
+            "converge", "-o", "problem=rect-amr", "-o", "k=1",
+            "-o", "resolution=4,4", "-o", "levels=2"])
+        assert rc == 0
+        lines = (tmp_path / "gsdpg_convergence.csv").read_text().splitlines()
+        row = dict(zip(lines[0].split(","), lines[2].split(",")))
+        assert np.isfinite(float(row["order_energy"]))
+        assert all(row[key] == "nan" for key in ("err_psi", "order_psi", "err_q", "order_q"))
+
+    def test_failed_level_is_written_and_exits_2(self, tmp_path, monkeypatch, capsys):
+        rc = run_in(tmp_path, monkeypatch, [
+            "converge", "-o", "problem=manufactured", "-o", "k=1",
+            "-o", "resolution=3,2", "-o", "levels=2", "-o", "max_nonlinear_iters=1"])
         assert rc == 2
-        assert "no exact solution" in capsys.readouterr().err
+        lines = (tmp_path / "gsdpg_convergence.csv").read_text().splitlines()
+        assert len(lines) == 2 and lines[1].endswith(",False")
+        assert "level 0: nonlinear solve did not converge" in capsys.readouterr().err
+
+    def test_completed_levels_kept_before_a_failed_one(self, tmp_path, monkeypatch, capsys):
+        solve = gsdpg.amr.solve_nonlinear
+        calls = []
+
+        def fail_second(state, anderson=None, inner="direct"):
+            calls.append(state)
+            budget = AndersonParams(max_iters=1) if len(calls) == 2 else anderson
+            return solve(state, budget, inner=inner)
+
+        monkeypatch.setattr(gsdpg.amr, "solve_nonlinear", fail_second)
+        rc = run_in(tmp_path, monkeypatch, [
+            "converge", "-o", "problem=manufactured", "-o", "k=1",
+            "-o", "resolution=3,2", "-o", "levels=3"])
+        assert rc == 2
+        lines = (tmp_path / "gsdpg_convergence.csv").read_text().splitlines()
+        assert [ln.split(",")[-1] for ln in lines[1:]] == ["True", "False"]
+        assert "level 1: nonlinear solve did not converge" in capsys.readouterr().err
 
 
 class TestAmrCommand:
@@ -163,7 +198,8 @@ class TestAmrCommand:
             "-o", "resolution=4,4", "-o", "max_amr_iters=2"])
         assert rc == 0
         hist = (tmp_path / "gsdpg_amr_history.csv").read_text().strip().split("\n")
-        assert hist[0] == "iteration,n_elements,energy_residual,n_marked,nonlinear_iters"
+        assert hist[0] == ("iteration,n_elements,energy_residual,n_marked,"
+                           "nonlinear_iters,converged")
         assert len(hist) >= 2
         assert (tmp_path / "gsdpg_solution.vtk").exists()
         n0 = int(hist[1].split(",")[1])
@@ -202,7 +238,8 @@ class TestAmrCommand:
         out, err = capsys.readouterr()
         assert "(not converged)" in out
         assert "did not converge at AMR iteration(s) 0, 1" in err
-        assert (tmp_path / "gsdpg_amr_history.csv").exists()
+        hist = (tmp_path / "gsdpg_amr_history.csv").read_text().splitlines()
+        assert [ln.split(",")[-1] for ln in hist[1:]] == ["False", "False"]
 
     def test_zero_amr_iterations_exits_1(self, tmp_path, monkeypatch, capsys):
         rc = run_in(tmp_path, monkeypatch, [

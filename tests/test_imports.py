@@ -66,3 +66,19 @@ def test_no_unused_import_waivers():
     for path in sorted(PACKAGE.glob("*.py")):
         for lineno, line in enumerate(path.read_text().splitlines(), 1):
             assert "noqa: F401" not in line, f"{path.name}:{lineno}"
+
+
+def test_no_unused_imports():
+    """Every name a module imports is used in it, or listed in its ``__all__``."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+                used |= set(ast.literal_eval(node.value))
+        imports = [node for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   or isinstance(node, ast.ImportFrom) and node.module != "__future__"]
+        for node in imports:
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                assert name in used, f"{path.name}:{node.lineno}: {name} is never used"

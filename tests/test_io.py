@@ -1,16 +1,16 @@
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from gsdpg.amr import AmrStep
+from gsdpg.amr import AmrStep, _order
 from gsdpg.io import (
     CONFIG_DEFAULTS,
     ConfigError,
-    amr_history_csv,
-    convergence_csv,
     parse_config,
     vertex_averaged_fields,
+    write_csv,
     write_vtk,
 )
 from gsdpg.mesh import Mesh, build_builtin_mesh, rectangle_curve
@@ -87,47 +87,51 @@ line_search = false
 
 
 class TestConvergenceCsv:
-    def rows(self):
-        return [
-            {"level": 0, "h": 0.4, "n_elements": 24, "err_psi": 1e-2, "err_q": 2e-2},
-            {"level": 1, "h": 0.2, "n_elements": 96, "err_psi": 1.25e-3, "err_q": 2.5e-3},
-        ]
+    """The study's order function, and the CSV writer every table uses."""
 
-    def test_header_and_order(self):
-        text = convergence_csv(self.rows())
-        lines = text.strip().split("\n")
-        assert lines[0] == "level,h,n_elements,err_psi,order_psi,err_q,order_q"
-        assert len(lines) == 3
+    LEVELS = [{"level": 0, "h": 0.4, "n_elements": 24, "err_psi": 1e-2},
+              {"level": 1, "h": 0.2, "n_elements": 96, "err_psi": 1.25e-3}]
+
+    def test_header_and_order(self, tmp_path):
         # factor 8 error drop at mesh ratio 2 -> order 3
-        order = float(lines[2].split(",")[4])
+        order = _order(*self.LEVELS, "err_psi")
         assert order == pytest.approx(3.0, rel=1e-12)
+        text = write_csv(tmp_path / "t.csv", ["level", "n_elements", "order_psi"],
+                         [dict(self.LEVELS[1], order_psi=order)])
+        assert text == f"level,n_elements,order_psi\n1,96,{order:.17e}\n"
 
     def test_first_level_order_is_nan(self):
-        lines = convergence_csv(self.rows()).strip().split("\n")
-        assert lines[1].split(",")[4] == "nan"
+        assert np.isnan(_order(None, self.LEVELS[0], "err_psi"))
 
     def test_degenerate_error_gives_nan(self):
-        rows = self.rows()
-        rows[1]["err_psi"] = 0.0
-        lines = convergence_csv(rows).strip().split("\n")
-        assert lines[2].split(",")[4] == "nan"
+        # a zero error, and the nan error of a problem without an exact solution
+        for err in (0.0, float("nan")):
+            assert np.isnan(_order(self.LEVELS[0], dict(self.LEVELS[1], err_psi=err), "err_psi"))
 
-    def test_seventeen_significant_digits(self):
-        lines = convergence_csv(self.rows()).strip().split("\n")
-        h_field = lines[1].split(",")[1]
-        mantissa = h_field.split("e")[0]
-        assert len(mantissa.replace("-", "").replace(".", "")) == 18
+    def test_seventeen_significant_digits(self, tmp_path):
+        lines = write_csv(tmp_path / "t.csv", ["h"], self.LEVELS).splitlines()
+        assert lines[1:] == ["4.00000000000000022e-01", "2.00000000000000011e-01"]
+
+    def test_nan_and_integers_as_they_are(self, tmp_path):
+        rows = [{"n": np.int64(7), "x": float("nan"), "ok": False}]
+        assert write_csv(tmp_path / "t.csv", ["ok", "n", "x"], rows) == "ok,n,x\nFalse,7,nan\n"
+
+    def test_returned_text_equals_file(self, tmp_path):
+        text = write_csv(tmp_path / "t.csv", list(self.LEVELS[0]), self.LEVELS)
+        assert (tmp_path / "t.csv").read_bytes() == text.encode()
 
 
 class TestAmrHistoryCsv:
-    def test_format(self):
-        steps = [AmrStep(0, 100, 1.5e-2, 12, 7, True), AmrStep(1, 140, 9.0e-3, 8, 3, True)]
-        lines = amr_history_csv(steps).strip().split("\n")
-        assert lines[0] == "iteration,n_elements,energy_residual,n_marked,nonlinear_iters"
+    def test_format(self, tmp_path):
+        steps = [AmrStep(0, 100, 1.5e-2, 12, 7, True), AmrStep(1, 140, 9.0e-3, 8, 3, False)]
+        rows = [asdict(st) for st in steps]
+        lines = write_csv(tmp_path / "h.csv", list(rows[0]), rows).splitlines()
+        assert lines[0] == ("iteration,n_elements,energy_residual,n_marked,"
+                            "nonlinear_iters,converged")
         f0 = lines[1].split(",")
         assert f0[0] == "0" and f0[1] == "100"
-        assert float(f0[2]) == pytest.approx(1.5e-2, rel=1e-15)
-        assert lines[2].endswith(",8,3")
+        assert float(f0[2]) == 1.5e-2
+        assert lines[2].endswith(",8,3,False")
 
 
 class TestVtk:

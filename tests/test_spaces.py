@@ -113,7 +113,7 @@ class TestEdgeGeometry:
 class TestTestSpace:
     def test_dimensions(self):
         m = small_rect()
-        ts = TestSpace(m, 2, 2)
+        ts = TestSpace(2, 2)
         nks = (2 + 2 + 1) * (2 + 2 + 2) // 2
         assert ts.nks == nks
         cache = ElementCache(m, TrialSpace(m, 2), ts)
@@ -121,12 +121,12 @@ class TestTestSpace:
 
     def test_enrichment_lower_bound(self):
         with pytest.raises(ValueError):
-            TestSpace(small_rect(), 2, 1)
+            TestSpace(2, 1)
 
     def test_rows_partition(self):
         # the stacked B_K keep each element's test rows under its own index
         m = small_rect()
-        ts = TestSpace(m, 1, 2)
+        ts = TestSpace(1, 2)
         B, _ = ElementCache(m, TrialSpace(m, 1), ts).matrices()
         rows = np.arange(B.shape[0] * B.shape[1]).reshape(B.shape[:2])
         all_rows = np.concatenate([rows[t] for t in range(m.n_triangles)])
